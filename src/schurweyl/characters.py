@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from math import factorial
 
+from .errors import ConsistencyError
 from .partitions import Partition, class_size, hooks, partitions_of, rows
 
 # (lambda, alpha) -> chi^lambda(alpha); exposed so tests can poison it
@@ -97,7 +98,8 @@ def dim_unitary(lam: Partition, d: int) -> int:
             num *= d + j - i
             den *= hk[i][j]
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ConsistencyError("hook-content product is not an integer")
     return q
 
 
@@ -112,7 +114,8 @@ def dim_unitary_charsum(lam: Partition, d: int) -> int:
         for alpha in partitions_of(n)
     )
     q, r = divmod(total, factorial(n))
-    assert r == 0, f"character sum for e^{d}_{lam} not divisible by n!"
+    if r:
+        raise ConsistencyError(f"character sum for e^{d}_{lam} not divisible by n!")
     return q
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from math import factorial
 
 from .characters import dim_sym, dim_unitary, mn_character
+from .errors import ConsistencyError
 from .partitions import Partition, class_size, contains, partitions_of
 
 
@@ -86,7 +87,8 @@ def littlewood_richardson_char(lam: Partition, mu: Partition, nu: Partition) -> 
             joined = tuple(sorted(beta + gamma, reverse=True))
             total += hb * class_size(gamma) * cb * cg * mn_character(lam, joined)
     q, r = divmod(total, factorial(k) * factorial(m))
-    assert r == 0, "induced-character inner product is not an integer"
+    if r:
+        raise ConsistencyError("induced-character inner product is not an integer")
     return q
 
 
@@ -100,8 +102,10 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
         for a in partitions_of(n)
     )
     q, r = divmod(total, factorial(n))
-    assert r == 0, "character triple sum is not divisible by n!"
-    assert q >= 0, "Kronecker coefficient came out negative"
+    if r:
+        raise ConsistencyError("character triple sum is not divisible by n!")
+    if q < 0:
+        raise ConsistencyError("Kronecker coefficient came out negative")
     return q
 
 

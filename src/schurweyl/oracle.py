@@ -9,34 +9,46 @@ Operators are stored as an integer matrix (numpy object dtype, so entries
 are unbounded Python ints) times one global Fraction.  Every operator this
 module constructs is real symmetric in the computational product basis with
 rational entries, so exact comparisons are just integer comparisons.
-Matrix products run through float64 BLAS whenever a magnitude bound proves
-every intermediate integer stays below 2^53 (hence exact), with an object
-dtype fallback otherwise.
+
+Every operator is constructed the same way, before any measurement acts
+on it: first as an element of the integer group algebra Z[S_n] (a
+{permutation: int} dict with one common denominator), then represented on
+(C^d)^(x n) by scattering each coefficient into one matrix through the
+permutation's index map.  Work that depends only on the group (character
+class sums, Jucys-Murphy products) therefore costs n!-sized dict
+arithmetic, never d^n-sided matrix products.  Products of operators (`@`)
+still run through float64 BLAS whenever a magnitude bound proves every
+intermediate integer stays below 2^53 (hence exact), with an object dtype
+fallback otherwise.
 
 Basis conventions, fixed and relied on by all index bookkeeping:
 * combined indices are base-d numerals with factor 1 as the most
   significant digit;
 * a bipartite factor C^p (x) C^q uses x = i*q + j with i the C^p index,
-  so the C^p part is the major digit.
+  so the C^p part is the major digit;
+* permutations are tuples of 0-based images and multiply as maps,
+  (a b)(i) = a(b(i)), so that P(a) @ P(b) = P(a b).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial, gcd
-from typing import Iterator
+from itertools import islice, permutations
+from math import comb, factorial, gcd, lcm
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .characters import dim_sym, dim_unitary, mn_character
 from .errors import SizeCapError
-from .partitions import Partition, as_partition, partitions_of, rows
+from .partitions import Partition, as_partition, partitions_of
 from .werner import WernerWeights, definetti_bound_dual
 
 DEFAULT_SIZE_CAP = 4096
 
 _EXACT_FLOAT = float(2**53)
+_SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
 _SLACK = 1e-7  # slack on float inequality assertions; asserted gaps are >= 1e-3
 
 
@@ -124,9 +136,6 @@ class DenseOperator:
     def entry(self, i: int, j: int) -> Fraction:
         return self.scale * int(self.mat[i, j])
 
-    def transpose(self) -> "DenseOperator":
-        return DenseOperator(self.mat.T.copy(), self.scale, self.n, self.base, self.bipartite)
-
     def is_symmetric(self) -> bool:
         return bool((self.mat == self.mat.T).all())
 
@@ -148,17 +157,13 @@ def _digit_weights(base: int, n: int) -> list[int]:
     return [base ** (n - 1 - i) for i in range(n)]
 
 
-def _perm_index_map(pi: tuple[int, ...], base: int) -> np.ndarray:
-    """enc(pi . x) for every combined index x, where (pi . x)[pi(i)] = x[i]."""
-    n = len(pi)
-    dim = base**n
-    idx = np.arange(dim)
-    w = _digit_weights(base, n)
-    out = np.zeros(dim, dtype=np.int64)
-    for i in range(n):
-        digit = (idx // w[i]) % base
-        out += digit * w[pi[i]]
-    return out
+def _perm_index_map(perms: np.ndarray, base: int) -> np.ndarray:
+    """enc(pi . x) for every combined index x, one row per permutation pi in
+    perms (an m x n array), where (pi . x)[pi(i)] = x[i]."""
+    n = perms.shape[1]
+    w = np.array(_digit_weights(base, n), dtype=np.int64)
+    digits = (np.arange(base**n)[:, None] // w) % base  # x -> its n digits
+    return w[perms] @ digits.T
 
 
 def cycle_type(pi: tuple[int, ...]) -> Partition:
@@ -177,13 +182,57 @@ def cycle_type(pi: tuple[int, ...]) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
+# --- the integer group algebra Z[S_n] --------------------------------------
+
+_Element = dict[tuple[int, ...], int]
+
+
+def _multiply(a: _Element, b: _Element) -> _Element:
+    """Product in Z[S_n]: sum of a_g b_h (g h), with (g h)(i) = g(h(i))."""
+    out: _Element = {}
+    get = out.get
+    for h, y in b.items():
+        compose = itemgetter(*h) if len(h) > 1 else tuple  # S_1 is trivial
+        for g, x in a.items():
+            gh = compose(g)
+            out[gh] = get(gh, 0) + x * y
+    return {g: c for g, c in out.items() if c}
+
+
+def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
+               denominator: int = 1, bipartite: tuple[int, int] | None = None,
+               size_cap: int | None = None) -> DenseOperator:
+    """The operator (1/denominator) sum_pi c_pi P(pi) on (C^d)^(x n).
+
+    terms are the (pi, c_pi) items of a Z[S_n] element, read in batches.
+    P(pi) has a 1 at (enc(pi . x), x) for every combined index x, so each
+    coefficient lands in d^n cells of one matrix.
+    """
+    _check_cap(d**n, size_cap)
+    dim = d**n
+    cols = np.arange(dim)
+    acc = np.zeros(dim * dim, dtype=object)
+    terms = iter(terms)
+    while chunk := list(islice(terms, max(1, _SCATTER_CELLS // dim))):
+        perms = np.array([pi for pi, _ in chunk], dtype=np.int64).reshape(len(chunk), n)
+        coeffs = np.empty(len(chunk), dtype=object)
+        coeffs[:] = [c for _, c in chunk]
+        targets = _perm_index_map(perms, d)
+        np.add.at(acc, (targets * dim + cols).ravel(), np.repeat(coeffs, dim))
+    return DenseOperator(acc.reshape(dim, dim), Fraction(1, denominator), n, d, bipartite)
+
+
+def _class_sum(values: dict[Partition, int], n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Items of the central element sum_pi values[cycle type of pi] pi."""
+    for pi in permutations(range(n)):
+        c = values[cycle_type(pi)]
+        if c:
+            yield pi, c
+
+
 def identity_operator(n: int, d: int, bipartite: tuple[int, int] | None = None,
                       size_cap: int | None = None) -> DenseOperator:
-    _check_cap(d**n, size_cap)
-    mat = np.empty((d**n, d**n), dtype=object)
-    mat[:] = 0
-    np.fill_diagonal(mat, 1)
-    return DenseOperator(mat, Fraction(1), n, d, bipartite)
+    return _represent([(tuple(range(n)), 1)], d, n, bipartite=bipartite, size_cap=size_cap)
 
 
 def permutation_operator(pi: tuple[int, ...], d: int,
@@ -193,13 +242,7 @@ def permutation_operator(pi: tuple[int, ...], d: int,
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{pi} is not a permutation of 0..{n - 1}")
-    _check_cap(d**n, size_cap)
-    dim = d**n
-    target = _perm_index_map(pi, d)
-    mat = np.empty((dim, dim), dtype=object)
-    mat[:] = 0
-    mat[target, np.arange(dim)] = 1
-    return DenseOperator(mat, Fraction(1), n, d, bipartite)
+    return _represent([(tuple(pi), 1)], d, n, bipartite=bipartite, size_cap=size_cap)
 
 
 def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) -> DenseOperator:
@@ -210,17 +253,11 @@ def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) ->
     """
     lam = as_partition(lam)
     n = sum(lam)
-    _check_cap(d**n, size_cap)
-    dim = d**n
-    acc = np.empty((dim, dim), dtype=object)
-    acc[:] = 0
-    for pi in permutations(range(n)):
-        chi = mn_character(lam, cycle_type(pi))
-        if chi == 0:
-            continue
-        target = _perm_index_map(pi, d)
-        acc[target, np.arange(dim)] += chi
-    return DenseOperator(acc, Fraction(dim_sym(lam), factorial(n)), n, d)
+    _check_cap(d**n, size_cap)  # before any group-algebra work
+    f, den = dim_sym(lam), factorial(n)
+    g = gcd(f, den)
+    chi = {alpha: f // g * mn_character(lam, alpha) for alpha in partitions_of(n)}
+    return _represent(_class_sum(chi, n), d, n, den // g, size_cap=size_cap)
 
 
 # --- standard tableaux ----------------------------------------------------
@@ -285,42 +322,58 @@ def _contents(t: Tableau) -> dict[int, int]:
     return {v: c - r for r, row in enumerate(t) for c, v in enumerate(row)}
 
 
+def _jucys_murphy_idempotent(t: Tableau) -> tuple[_Element, int]:
+    """The Gelfand-Tsetlin idempotent of t in Z[S_n], with its denominator.
+
+    E_t = prod_k prod_c (L_k - c) / (c_k - c), where L_k = sum_{i<k} (i k)
+    are the Jucys-Murphy elements, c_k is the content of the box holding k
+    and c runs over the other addable contents of the shape filled by
+    1..k-1: on the image of the previous factors those are the only other
+    eigenvalues L_k takes (Okounkov-Vershik).  The product is multiplied out
+    with integer coefficients, divided through by their common gcd after
+    each k.
+    """
+    n = sum(len(row) for row in t)
+    contents = _contents(t)
+    ident = tuple(range(n))
+    elem: _Element = {ident: 1}
+    denom = 1
+    for k in range(2, n + 1):
+        mu = [sum(v < k for v in row) for row in t] + [0]  # shape filled by 1..k-1
+        addable = [mu[r] - r for r in range(len(mu)) if r == 0 or mu[r - 1] > mu[r]]
+        ck = contents[k]
+        lk = {}
+        for i in range(k - 1):
+            swap = list(ident)
+            swap[i], swap[k - 1] = k - 1, i
+            lk[tuple(swap)] = 1
+        for c in addable:
+            if c != ck:
+                elem = _multiply(elem, {**lk, ident: -c} if c else lk)
+                denom *= ck - c
+        g = gcd(denom, *elem.values())
+        elem = {pi: x // g for pi, x in elem.items()}
+        denom //= g
+    return elem, denom
+
+
 def young_projector(t: Tableau, d: int, size_cap: int | None = None) -> DenseOperator:
     """Orthogonal projector onto a single unitary irrep selected by the tableau.
 
-    Built as the joint spectral projector of the commuting transposition
-    sums L_k = sum_{i<k} (i k) at the eigenvalue vector given by the box
-    contents of t.  Each L_k is symmetric with integer entries and the
-    content vector singles out one copy of the irrep of shape(t), so the
-    result is an exact rational orthogonal projector with trace e^d_shape
-    (the zero operator when the shape has more than d rows).
+    The representation of the Gelfand-Tsetlin idempotent E_t of Z[S_n]:
+    the joint spectral projector of the commuting Jucys-Murphy elements
+    L_k = sum_{i<k} (i k) at the eigenvalue vector given by the box
+    contents of t, computed in the n!-dimensional algebra and represented
+    once.  E_t is fixed by pi -> pi^{-1} and the content vector singles out
+    one copy of the irrep of shape(t), so the result is an exact rational
+    symmetric projector with trace e^d_shape (the zero operator when the
+    shape has more than d rows).
     """
     check_standard_tableau(t)
-    shape = tableau_shape(t)
-    n = sum(shape)
-    _check_cap(d**n, size_cap)
-    contents = _contents(t)
-
-    proj = identity_operator(n, d, size_cap=size_cap)
-    denom = 1
-    for k in range(2, n + 1):
-        lk = np.empty((d**n, d**n), dtype=object)
-        lk[:] = 0
-        for i in range(1, k):
-            swap = list(range(n))
-            swap[i - 1], swap[k - 1] = swap[k - 1], swap[i - 1]
-            target = _perm_index_map(tuple(swap), d)
-            lk[target, np.arange(d**n)] += 1
-        ck = contents[k]
-        for c in range(-(k - 1), k):
-            if c == ck:
-                continue
-            shifted = lk.copy()
-            idx = np.arange(d**n)
-            shifted[idx, idx] -= c
-            proj = DenseOperator(_imatmul(proj.mat, shifted), proj.scale, n, d)
-            denom *= ck - c
-    return DenseOperator(proj.mat, proj.scale / denom, n, d)
+    n = sum(tableau_shape(t))
+    _check_cap(d**n, size_cap)  # before any group-algebra work
+    elem, denom = _jucys_murphy_idempotent(t)
+    return _represent(elem.items(), d, n, denom, size_cap=size_cap)
 
 
 # --- traces and averages ---------------------------------------------------
@@ -375,7 +428,7 @@ def symmetric_average(m: DenseOperator) -> DenseOperator:
     # pi M pi^{-1} is the index relabelling M[pi^{-1}a, pi^{-1}b]; summing over
     # the whole group absorbs the inversion, so the forward map can be used
     for pi in permutations(range(n)):
-        relabel = _perm_index_map(pi, m.base)
+        relabel = _perm_index_map(np.array([pi]), m.base)[0]
         acc += m.mat[np.ix_(relabel, relabel)]
     return DenseOperator(acc, m.scale / factorial(n), n, m.base, m.bipartite)
 
@@ -402,14 +455,24 @@ def schur_weyl_weights(m: DenseOperator, size_cap: int | None = None) -> dict[Pa
 
 
 def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOperator:
-    """The literal operator sum_mu a_mu rho_mu on (C^d)^(x n)."""
-    total = identity_operator(w.n, w.d, size_cap=size_cap) * 0
+    """The literal operator sum_mu a_mu rho_mu on (C^d)^(x n).
+
+    One class sum: rho_mu = (1/(e_mu n!)) sum_pi chi^mu(pi) pi, so the
+    coefficient of pi is sum_mu a_mu chi^mu(pi) / (e_mu n!).
+    """
+    n, d = w.n, w.d
+    _check_cap(d**n, size_cap)  # before any group-algebra work
+    classes = partitions_of(n)
+    coeff = {alpha: Fraction(0) for alpha in classes}
     for mu, a in w.weights.items():
         if a == 0:
             continue
-        pmu = schur_weyl_projector(mu, w.d, size_cap=size_cap)
-        total = total + pmu * (Fraction(a) / (dim_unitary(mu, w.d) * dim_sym(mu)))
-    return total
+        unit = Fraction(a) / (dim_unitary(mu, d) * factorial(n))
+        for alpha in classes:
+            coeff[alpha] += unit * mn_character(mu, alpha)
+    den = lcm(*(c.denominator for c in coeff.values()))
+    values = {alpha: int(c * den) for alpha, c in coeff.items()}
+    return _represent(_class_sum(values, n), d, n, den, size_cap=size_cap)
 
 
 def operator_to_json(m: DenseOperator) -> dict:

@@ -31,11 +31,6 @@ def as_partition(parts) -> Partition:
     return t
 
 
-def size(lam: Partition) -> int:
-    """Number of boxes |lambda|."""
-    return sum(lam)
-
-
 def rows(lam: Partition) -> int:
     """Number of rows; as a cycle type this is the cycle count c(lambda)."""
     return len(lam)

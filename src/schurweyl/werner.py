@@ -237,7 +237,8 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
         raise ValueError("k must be between 1 and n")
     f_lam = dim_sym(lam)
     out = _weights_on(k, d, lambda mu: Fraction(dim_sym(mu) * dim_skew(lam, mu), f_lam))
-    assert out.total() == 1
+    if out.total() != 1:
+        raise ConsistencyError("weights do not sum to 1")
     return out
 
 
@@ -254,7 +255,8 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     out = _weights_on(
         n, p, lambda mu: Fraction(dim_unitary(mu, p) * character_polynomial(lam, mu)(q), denom)
     )
-    assert out.total() == 1
+    if out.total() != 1:
+        raise ConsistencyError("weights do not sum to 1")
     return out
 
 
@@ -284,12 +286,15 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
     averaged, normalized permutation operator; for alpha = (1^n) this is the
     fully mixed state.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
     alpha = as_partition(alpha)
     n = sum(alpha)
     out = _weights_on(
         n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n)
     )
-    assert out.total() == Fraction(d ** rows(alpha), d**n)
+    if out.total() != Fraction(d ** rows(alpha), d**n):
+        raise ConsistencyError("cycle weights do not sum to d^(c - n)")
     return out
 
 
@@ -334,7 +339,8 @@ def fully_mixed(n: int, d: int) -> WernerWeights:
     out = _weights_on(
         n, d, lambda mu: Fraction(dim_unitary(mu, d) * dim_sym(mu), d**n)
     )
-    assert out.total() == 1
+    if out.total() != 1:
+        raise ConsistencyError("weights do not sum to 1")
     return out
 
 
@@ -379,6 +385,8 @@ def degrees_of_freedom(n: int, d: int, kind: str) -> int:
     werner: sum of f_lam^2 - 1; symmetric: sum of (e^d_lam)^2 - 1, both over
     Par(n, d).
     """
+    if d < 1:
+        raise ValueError("d must be positive")
     parts = partitions_of(n, d)
     if kind == "werner":
         return sum(dim_sym(lam) ** 2 for lam in parts) - 1
@@ -407,7 +415,8 @@ def horn_witness(lam: Partition, mu: Partition) -> HornWitness | None:
     c = tuple(lam) + (0,) * (n - len(lam))
     a = tuple(mu) + (0,) * (n - len(mu))
     b = tuple(ci - ai for ci, ai in zip(c, a))
-    assert all(x >= 0 for x in b)
+    if any(x < 0 for x in b):
+        raise ConsistencyError("Horn witness has a negative entry")
     return HornWitness(a, b, c)
 
 

@@ -112,6 +112,8 @@ def test_chartable_csv(capsys):
 def test_usage_errors(capsys):
     assert main(["lr", "[2,1", "[1]", "[2]"]) == 2
     assert main(["trace", "[2,1,1]", "--sym", "2", "2"]) == 2  # rows exceed d
+    assert main(["dual-twirl", "[2,1]", "0"]) == 2  # d = 0
+    assert main(["dof", "3", "0"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2

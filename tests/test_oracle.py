@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -46,6 +47,8 @@ def test_permutation_operator_basics():
     assert (swap @ swap).same_as(identity_operator(2, 2))
     with pytest.raises(ValueError):
         permutation_operator((0, 0), 2)
+    assert permutation_operator((), 2).same_as(identity_operator(0, 2))  # n = 0: side 1
+    assert identity_operator(0, 2).trace() == 1
 
 
 def test_permutation_traces_count_cycles():
@@ -121,6 +124,88 @@ def test_young_projector_properties():
                     assert yp.is_symmetric()
                     assert (yp @ yp).same_as(yp)
                     assert yp.trace() == dim_unitary(shape, d)
+
+
+def _random_element(rng, n):
+    perms = list(permutations(range(n)))
+    return {pi: rng.randint(-5, 5) for pi in rng.sample(perms, rng.randint(1, len(perms)))}
+
+
+def test_represent_is_multiplicative():
+    # non-commuting elements pin the composition order against _perm_index_map
+    rng = random.Random(0)
+    for n in (3, 4):
+        for d in (2, 3):
+            for _ in range(4):
+                a, b = _random_element(rng, n), _random_element(rng, n)
+                while (ab := oracle._multiply(a, b)) == oracle._multiply(b, a):
+                    b = _random_element(rng, n)
+                lhs = oracle._represent(ab.items(), d, n)
+                rhs = oracle._represent(a.items(), d, n) @ oracle._represent(b.items(), d, n)
+                assert lhs.same_as(rhs)
+
+
+def test_young_projectors_resolve_the_block():
+    for n in (3, 4):
+        for shape in partitions_of(n):
+            for d in (2, 3):
+                ps = [young_projector(t, d) for t in standard_tableaux(shape)]
+                total = identity_operator(n, d) * 0
+                for i, p in enumerate(ps):
+                    total = total + p
+                    for other in ps[i + 1:]:
+                        assert (p @ other).is_zero()
+                assert total.same_as(schur_weyl_projector(shape, d))
+
+
+def _spectral_young_projector(t, d):
+    """Deliberately independent reference for young_projector.
+
+    The joint spectral projector of the Jucys-Murphy operators, built the
+    direct way on (C^d)^(x n): every L_k is assembled from explicit factor
+    swaps and the product of (L_k - c)/(c_k - c) over all c in -(k-1)..k-1
+    is taken with dense matrix products.  Costs d^n-sided products, so it
+    is only used at d^n <= 64.
+    """
+    n = sum(len(row) for row in t)
+    dim = d**n
+    contents = {v: c - r for r, row in enumerate(t) for c, v in enumerate(row)}
+    states = [tuple((x // d ** (n - 1 - i)) % d for i in range(n)) for x in range(dim)]
+    index = {s: x for x, s in enumerate(states)}
+    proj = DenseOperator(_obj(np.eye(dim, dtype=int).tolist()), Fraction(1), n, d)
+    for k in range(2, n + 1):
+        lk = np.zeros((dim, dim), dtype=int)
+        for i in range(k - 1):
+            for x, s in enumerate(states):
+                swapped = list(s)
+                swapped[i], swapped[k - 1] = s[k - 1], s[i]
+                lk[index[tuple(swapped)], x] += 1
+        for c in range(-(k - 1), k):
+            if c != contents[k]:
+                factor = DenseOperator(_obj((lk - c * np.eye(dim, dtype=int)).tolist()),
+                                       Fraction(1, contents[k] - c), n, d)
+                proj = proj @ factor
+    return proj
+
+
+def test_young_projector_matches_the_spectral_reference():
+    checked = 0
+    for n in range(1, 7):
+        for d in range(1, 9):
+            if d**n > 64:
+                continue
+            for shape in partitions_of(n):
+                for t in standard_tableaux(shape):
+                    assert young_projector(t, d).same_as(_spectral_young_projector(t, d)), (t, d)
+                    checked += 1
+    assert checked == 264
+
+
+def test_young_projector_size_cap():
+    for t in standard_tableaux((2, 1)):
+        with pytest.raises(SizeCapError):
+            young_projector(t, 5, size_cap=64)
+    young_projector(first_standard_tableau((2, 1)), 4, size_cap=64)
 
 
 def test_young_projector_row_and_column_tableaux():

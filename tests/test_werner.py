@@ -226,6 +226,9 @@ def test_dual_twirl_cycle_trace_identity():
                 w = dual_twirl_cycle(alpha, d)
                 assert w.total() == Fraction(d ** len(alpha), d**n)
     assert dict(dual_twirl_cycle((3,), 1).weights) == {(3,): Fraction(1)}
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            dual_twirl_cycle((2, 1), d)
 
 
 def test_cycle_sum_recombination():
@@ -305,6 +308,9 @@ def test_degrees_of_freedom():
     assert degrees_of_freedom(3, 3, "symmetric") == expected
     with pytest.raises(ValueError):
         degrees_of_freedom(2, 2, "other")
+    for kind in ("werner", "symmetric"):
+        with pytest.raises(ValueError):
+            degrees_of_freedom(3, 0, kind)
 
 
 def test_horn_witness():

@@ -208,6 +208,8 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     P(pi) has a 1 at (enc(pi . x), x) for every combined index x, so each
     coefficient lands in d^n cells of one matrix.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
     _check_cap(d**n, size_cap)
     dim = d**n
     cols = np.arange(dim)
@@ -473,31 +475,6 @@ def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOp
     den = lcm(*(c.denominator for c in coeff.values()))
     values = {alpha: int(c * den) for alpha, c in coeff.items()}
     return _represent(_class_sum(values, n), d, n, den, size_cap=size_cap)
-
-
-def operator_to_json(m: DenseOperator) -> dict:
-    """Row-major dump with exact entries as num/den strings."""
-    dim = m.dim
-    entries = [str(m.entry(i, j)) for i in range(dim) for j in range(dim)]
-    return {
-        "n": m.n,
-        "base": m.base,
-        "bipartite": list(m.bipartite) if m.bipartite else None,
-        "entries": entries,
-    }
-
-
-def operator_from_json(data: dict) -> DenseOperator:
-    n, base = int(data["n"]), int(data["base"])
-    dim = base**n
-    fr = [Fraction(s) for s in data["entries"]]
-    den = 1
-    for f in fr:
-        den = den * f.denominator // gcd(den, f.denominator)
-    flat = np.empty(dim * dim, dtype=object)
-    flat[:] = [int(f * den) for f in fr]
-    bip = tuple(data["bipartite"]) if data.get("bipartite") else None
-    return DenseOperator(flat.reshape(dim, dim), Fraction(1, den), n, base, bip)
 
 
 def verify_general_dual(t: Tableau, p: int, q: int,

@@ -9,6 +9,7 @@ Comparisons that need equal lengths zero-pad on the fly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -40,11 +41,17 @@ def partitions_of(n: int, max_rows: int | None = None) -> list[Partition]:
     """All partitions of n with at most max_rows rows, lexicographically decreasing.
 
     max_rows=None means unbounded.  n = 0 yields only the empty partition.
+    Each call returns a fresh list, so callers may mutate it freely.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if max_rows is None:
         max_rows = n
+    return list(_partitions(n, max_rows))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
 
     def extend(prefix: list[int], remaining: int, cap: int, room: int) -> None:
@@ -63,7 +70,7 @@ def partitions_of(n: int, max_rows: int | None = None) -> list[Partition]:
             prefix.pop()
 
     extend([], n, n, max_rows)
-    return out
+    return tuple(out)
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -86,14 +93,18 @@ def class_size(alpha: Partition) -> int:
     h_alpha = n! / z_alpha with z_alpha = prod_i i^{m_i} m_i! over the
     multiplicities m_i of the part sizes i.
     """
-    n = sum(alpha)
+    return _class_size(tuple(alpha))
+
+
+@lru_cache(maxsize=None)
+def _class_size(alpha: Partition) -> int:
     z = 1
     mult: dict[int, int] = {}
     for part in alpha:
         mult[part] = mult.get(part, 0) + 1
     for part, m in mult.items():
         z *= part**m * factorial(m)
-    return factorial(n) // z
+    return factorial(sum(alpha)) // z
 
 
 def skew_standard_count(outer: Partition, inner: Partition) -> int:

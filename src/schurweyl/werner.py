@@ -225,10 +225,13 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     """Weights of the state left after tracing out n-k of the n subsystems.
 
     a_mu = f_mu * (sum_nu c^lam_{mu nu} f_nu) / f_lam over mu in Par(k, d).
-    The inner sum is evaluated as the lattice-path count dim(lam/mu), which
-    it equals whenever lam has at most d rows; the literal coefficient sum
-    is kept as a cross-check in the test suite.
+    The inner sum is evaluated as the skew dimension dim(lam/mu) (Aitken's
+    determinant, coefficients.dim_skew), which it equals whenever lam has
+    at most d rows; the literal coefficient sum is kept as a cross-check in
+    the test suite.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
     lam = as_partition(lam)
     n = sum(lam)
     if rows(lam) > d:
@@ -247,6 +250,8 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
 
     a_mu = e^p_mu * chi^{lam mu}(q) / (n! e^{pq}_lam) over mu in Par(n, p).
     """
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
     lam = as_partition(lam)
     n = sum(lam)
     if rows(lam) > p * q:
@@ -306,6 +311,8 @@ def cycle_sum_expansion(lam: Partition, p: int, q: int) -> dict[Partition, Fract
     reproduces dual_trace(lam, p, q) exactly.  The p^n factor compensates the
     1/p^n normalization inside the cycle operators.
     """
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
     lam = as_partition(lam)
     n = sum(lam)
     if rows(lam) > p * q:
@@ -423,7 +430,3 @@ def horn_witness(lam: Partition, mu: Partition) -> HornWitness | None:
 def polynomial_as_json(poly: IntPolynomial) -> list[int]:
     """Ascending coefficient array, the wire format for integer polynomials."""
     return list(poly.coeffs)
-
-
-def polynomial_from_json(data: list[int]) -> IntPolynomial:
-    return IntPolynomial(data)

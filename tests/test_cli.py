@@ -114,6 +114,12 @@ def test_usage_errors(capsys):
     assert main(["trace", "[2,1,1]", "--sym", "2", "2"]) == 2  # rows exceed d
     assert main(["dual-twirl", "[2,1]", "0"]) == 2  # d = 0
     assert main(["dof", "3", "0"]) == 2
+    # non-positive local dimensions are usage errors, not consistency failures
+    for argv in (["trace", "[2,1]", "--dual", "-1", "-3"], ["trace", "[1]", "--dual", "-1", "-1"],
+                 ["trace", "[2,1]", "--dual", "0", "2"], ["trace", "[2,1]", "--sym", "2", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err and "Traceback" not in err
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2

@@ -13,7 +13,7 @@ from schurweyl.coefficients import (
     littlewood_richardson,
     littlewood_richardson_char,
 )
-from schurweyl.partitions import contains, partitions_of, skew_standard_count
+from schurweyl.partitions import conjugate, contains, partitions_of, skew_standard_count
 
 
 def test_lr_examples():
@@ -122,6 +122,36 @@ def test_dim_skew_scales_to_large_shapes():
     k = 3
     total = sum(dim_sym(mu) * dim_skew(lam, mu) for mu in partitions_of(k))
     assert total == dim_sym(lam)
+
+
+def test_dim_skew_with_empty_inner_is_the_hook_length_formula():
+    for lam in ((120, 100, 80), (200, 150), (100, 90, 80, 70), (301,), (1,) * 300):
+        assert dim_skew(lam, ()) == dim_sym(lam)
+
+
+def _corners_removed(lam):
+    """Each diagram lam - c for a removable corner c of lam."""
+    for i, row in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < row:
+            yield tuple(p for p in lam[:i] + (row - 1,) + lam[i + 1:] if p)
+
+
+def test_dim_skew_box_removal_recurrence():
+    # dim(lam/mu) = sum over removable corners c with mu inside lam - c of dim((lam - c)/mu)
+    for lam, mu in (((120, 100, 80), (2, 1)), ((360, 180), (3,)),
+                    (conjugate((120, 100, 80)), (2, 1))):
+        smaller = [shape for shape in _corners_removed(lam) if contains(mu, shape)]
+        assert len(smaller) >= 2
+        assert dim_skew(lam, mu) == sum(dim_skew(shape, mu) for shape in smaller)
+
+
+def test_partitions_of_returns_a_fresh_list():
+    first = partitions_of(6, 3)
+    second = partitions_of(6, 3)
+    assert first == second and first is not second
+    first.clear()
+    second.append((99,))
+    assert partitions_of(6, 3) == [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2)]
 
 
 @st.composite

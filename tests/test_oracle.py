@@ -15,8 +15,6 @@ from schurweyl.oracle import (
     cycle_type,
     first_standard_tableau,
     identity_operator,
-    operator_from_json,
-    operator_to_json,
     partial_trace_inner,
     partial_trace_subsystems,
     permutation_operator,
@@ -72,6 +70,18 @@ def test_size_cap():
     with pytest.raises(ValueError):
         permutation_operator((0, 1), 2, size_cap=32)
     permutation_operator((0, 1, 2), 4, size_cap=64)
+
+
+def test_constructors_reject_nonpositive_d():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be positive"):
+            schur_weyl_projector((2, 1), d)
+        with pytest.raises(ValueError, match="d must be positive"):
+            permutation_operator((1, 0), d)
+        with pytest.raises(ValueError, match="d must be positive"):
+            identity_operator(0, d)
+        with pytest.raises(ValueError, match="d must be positive"):
+            young_projector(first_standard_tableau((2, 1)), d)
 
 
 def test_schur_weyl_projector_family():
@@ -335,14 +345,6 @@ def test_verify_general_dual_report():
     assert rep["pass"]
     with pytest.raises(ValueError):
         verify_general_dual(first_standard_tableau((2, 1)), 2, 2)
-
-
-def test_operator_json_roundtrip():
-    op = schur_weyl_projector((2, 1), 2) * Fraction(3, 7)
-    data = operator_to_json(op)
-    back = operator_from_json(data)
-    assert back.same_as(op)
-    assert data["entries"][0] == str(op.entry(0, 0))
 
 
 def test_operator_arithmetic_sanity():

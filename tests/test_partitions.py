@@ -82,6 +82,7 @@ def test_class_size_examples():
     assert class_size((2, 1)) == 3
     for n in range(1, 7):
         assert class_size((n,)) == factorial(n - 1)
+    assert class_size([2, 1]) == class_size((2, 1))  # any sequence of parts
 
 
 def test_class_sizes_sum_to_group_order():

@@ -21,7 +21,6 @@ from schurweyl.werner import (
     horn_witness,
     marginal_feasible,
     polynomial_as_json,
-    polynomial_from_json,
     recombine_cycle_sum,
     root_range,
     trace_distance,
@@ -48,7 +47,7 @@ def test_int_polynomial_basics():
     assert IntPolynomial([1, 0, 0]) == IntPolynomial([1])
     assert str(IntPolynomial([-1, -1, 1])) == "q^2-q-1"
     assert str(IntPolynomial([])) == "0"
-    assert polynomial_from_json(polynomial_as_json(p)) == p
+    assert polynomial_as_json(p) == [0, 24, 50, 35, 10, 1]
 
 
 def test_character_polynomial_published_rows():
@@ -173,6 +172,17 @@ def test_dual_trace_collapses_for_p_equal_one():
 def test_dual_trace_rejects_wide_diagrams():
     with pytest.raises(ValueError):
         dual_trace((1, 1, 1, 1, 1), 2, 2)
+
+
+def test_trace_maps_reject_nonpositive_dimensions():
+    for p, q in ((-1, -3), (0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="p and q must be positive"):
+            dual_trace((2, 1), p, q)
+        with pytest.raises(ValueError, match="p and q must be positive"):
+            cycle_sum_expansion((2, 1), p, q)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be positive"):
+            trace_out_sym((2, 1), 2, d)
 
 
 def test_dual_trace_weights_are_states():

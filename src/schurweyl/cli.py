@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +20,7 @@ from . import oracle, verify
 from .characters import CharacterTable
 from .coefficients import kronecker, littlewood_richardson
 from .errors import SizeCapError
-from .partitions import (
-    conjugate,
-    format_partition,
-    parse_partition,
-    partitions_of,
-)
+from .partitions import conjugate, format_partition, parse_partition
 from .werner import (
     WernerWeights,
     character_polynomial,
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["formulas", "bounds", "oracle", "all"])
+    p.add_argument("suite", choices=[*verify.SUITES, "all"])
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -397,7 +393,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+        except BrokenPipeError:
+            # the reader closed early (e.g. `| head`); keep the exit-time
+            # flush of sys.stdout from raising again
+            sys.stdout = open(os.devnull, "w")
     return code
 
 

@@ -52,12 +52,15 @@ _SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
 _SLACK = 1e-7  # slack on float inequality assertions; asserted gaps are >= 1e-3
 
 
-def _check_cap(dim: int, size_cap: int | None) -> None:
+def _check_cap(d: int, n: int, size_cap: int | None) -> None:
+    """Reject a local dimension below 1, then a matrix side d^n above the cap."""
+    if d < 1:
+        raise ValueError("d must be positive")
     cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     if cap < 64:
         raise ValueError("size cap must be at least 64")
-    if dim > cap:
-        raise SizeCapError(f"matrix side {dim} exceeds the size cap {cap}")
+    if d**n > cap:
+        raise SizeCapError(f"matrix side {d**n} exceeds the size cap {cap}")
 
 
 def _int_object(mat: np.ndarray) -> np.ndarray:
@@ -208,9 +211,7 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     P(pi) has a 1 at (enc(pi . x), x) for every combined index x, so each
     coefficient lands in d^n cells of one matrix.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    _check_cap(d**n, size_cap)
+    _check_cap(d, n, size_cap)
     dim = d**n
     cols = np.arange(dim)
     acc = np.zeros(dim * dim, dtype=object)
@@ -255,7 +256,7 @@ def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) ->
     """
     lam = as_partition(lam)
     n = sum(lam)
-    _check_cap(d**n, size_cap)  # before any group-algebra work
+    _check_cap(d, n, size_cap)  # before any group-algebra work
     f, den = dim_sym(lam), factorial(n)
     g = gcd(f, den)
     chi = {alpha: f // g * mn_character(lam, alpha) for alpha in partitions_of(n)}
@@ -373,7 +374,7 @@ def young_projector(t: Tableau, d: int, size_cap: int | None = None) -> DenseOpe
     """
     check_standard_tableau(t)
     n = sum(tableau_shape(t))
-    _check_cap(d**n, size_cap)  # before any group-algebra work
+    _check_cap(d, n, size_cap)  # before any group-algebra work
     elem, denom = _jucys_murphy_idempotent(t)
     return _represent(elem.items(), d, n, denom, size_cap=size_cap)
 
@@ -463,7 +464,7 @@ def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOp
     coefficient of pi is sum_mu a_mu chi^mu(pi) / (e_mu n!).
     """
     n, d = w.n, w.d
-    _check_cap(d**n, size_cap)  # before any group-algebra work
+    _check_cap(d, n, size_cap)  # before any group-algebra work
     classes = partitions_of(n)
     coeff = {alpha: Fraction(0) for alpha in classes}
     for mu, a in w.weights.items():
@@ -505,7 +506,6 @@ def verify_general_dual(t: Tableau, p: int, q: int,
     min_eig = float(np.linalg.eigvalsh(residual.to_float()).min())
     ok = delta <= float(bound) + _SLACK and min_eig >= -_SLACK
     return {
-        "check": "general-dual-definetti",
         "shape": list(shape),
         "tableau": [list(r) for r in t],
         "p": p,

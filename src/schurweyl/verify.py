@@ -1,9 +1,18 @@
-"""Named verification suites behind the `verify` subcommand.
+"""The registry of verification checks behind the `verify` subcommand.
 
-Each check recomputes one family of identities or bounds from scratch and
-returns a small report dict {check, lhs, rhs, pass}.  The formulas suite is
-pure weight calculus, the bounds suite evaluates the distance bounds, and
-the oracle suite rebuilds everything as dense matrices and re-measures.
+Each check recomputes one family of identities or bounds from scratch over
+fixed ranges and returns a report dict {check, lhs, rhs, pass}, where lhs
+reads "F failures in N cases".  Three module-level dicts map report name to
+check, in run order: FORMULAS (pure weight calculus), BOUNDS (the distance
+bounds) and ORACLE (everything rebuilt as dense matrices and re-measured).
+SUITES names them for `run_suite`.  A report name is written only here, as a
+registry key; `_run` stamps it on the report.
+
+Every check is a module-level `check_*` function taking the keyword-only
+arguments seed and size_cap, used or not, so one loop runs them all.  Keep
+the registries flat and at module level: code that rebinds a check wherever
+it is bound (as `perfbench` does to time each one) replaces module globals
+and the entries of module-level dicts, not of nested ones.
 All checks are deterministic for a fixed (size_cap, seed).
 """
 
@@ -11,7 +20,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import permutations
+from math import factorial, gcd
+
+import numpy as np
 
 from . import oracle
 from .characters import (
@@ -19,7 +31,6 @@ from .characters import (
     dim_sym,
     dim_unitary,
     dim_unitary_charsum,
-    mn_character,
 )
 from .coefficients import (
     branching_sum_kron,
@@ -28,8 +39,8 @@ from .coefficients import (
     littlewood_richardson,
     littlewood_richardson_char,
 )
+from .errors import SizeCapError
 from .partitions import (
-    class_size,
     conjugate,
     contains,
     normalized,
@@ -54,29 +65,27 @@ from .werner import (
 )
 
 
-def _report(name: str, failures: int, cases: int, detail: str = "") -> dict:
-    lhs = f"{failures} failures in {cases} cases"
-    if detail and failures:
-        lhs += f" ({detail})"
-    return {"check": name, "lhs": lhs, "rhs": "0 failures", "pass": failures == 0}
+def _report(failures: int, cases: int) -> dict:
+    return {"lhs": f"{failures} failures in {cases} cases", "rhs": "0 failures",
+            "pass": failures == 0}
 
 
-def check_character_orthogonality(max_n: int = 8) -> dict:
+def check_character_orthogonality(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 9):
         cases += 1
         if not CharacterTable(n).check_orthogonality():
             failures += 1
-    return _report("character-orthogonality", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dimension_identities(max_n: int = 6, max_d: int = 5) -> dict:
+def check_dimension_identities(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         cases += 1
         if sum(dim_sym(lam) ** 2 for lam in partitions_of(n)) != factorial(n):
             failures += 1
-        for d in range(1, max_d + 1):
+        for d in range(1, 6):
             cases += 1
             total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
             if total != d**n:
@@ -85,12 +94,12 @@ def check_dimension_identities(max_n: int = 6, max_d: int = 5) -> dict:
                 cases += 1
                 if dim_unitary(lam, d) != dim_unitary_charsum(lam, d):
                     failures += 1
-    return _report("dimension-identities", failures, cases)
+    return _report(failures, cases)
 
 
-def check_lr_two_paths(max_n: int = 6) -> dict:
+def check_lr_two_paths(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         for lam in partitions_of(n):
             for k in range(n + 1):
                 for mu in partitions_of(k):
@@ -98,30 +107,28 @@ def check_lr_two_paths(max_n: int = 6) -> dict:
                         cases += 1
                         if littlewood_richardson(lam, mu, nu) != littlewood_richardson_char(lam, mu, nu):
                             failures += 1
-    return _report("lr-two-paths", failures, cases)
+    return _report(failures, cases)
 
 
-def check_kron_symmetry(max_n: int = 6) -> dict:
-    from itertools import permutations as iperm
-
+def check_kron_symmetry(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
                 for nu in parts:
                     base = kronecker(lam, mu, nu)
-                    for a, b, c in iperm((lam, mu, nu)):
+                    for a, b, c in permutations((lam, mu, nu)):
                         cases += 1
                         if kronecker(a, b, c) != base:
                             failures += 1
-    return _report("kronecker-symmetry", failures, cases)
+    return _report(failures, cases)
 
 
-def check_kronecker_row_bound(max_n: int = 6) -> dict:
+def check_kronecker_row_bound(*, seed: int, size_cap: int | None) -> dict:
     """Some nu with few rows couples to every (lam, mu) pair."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
@@ -131,13 +138,13 @@ def check_kronecker_row_bound(max_n: int = 6) -> dict:
                     kronecker(lam, mu, nu) > 0 for nu in partitions_of(n, cap)
                 ):
                     failures += 1
-    return _report("kronecker-row-bound", failures, cases)
+    return _report(failures, cases)
 
 
-def check_inner_sum_lr(max_n: int = 7) -> dict:
+def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> dict:
     """f * s*_mu(lam) / (n falling k) = sum_nu c f_nu = skew count, exactly."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 8):
         for lam in partitions_of(n):
             d = max(rows(lam), 1)
             for k in range(n + 1):
@@ -151,13 +158,13 @@ def check_inner_sum_lr(max_n: int = 7) -> dict:
                     via_shifted = Fraction(dim_sym(lam)) * shifted / falling_factorial(n, k)
                     if not (via_skew == via_lr == via_shifted):
                         failures += 1
-    return _report("inner-sum-subsystem", failures, cases)
+    return _report(failures, cases)
 
 
-def check_inner_sum_vanishing(max_n: int = 6) -> dict:
+def check_inner_sum_vanishing(*, seed: int, size_cap: int | None) -> dict:
     """Outside containment the shifted Schur value and the sums vanish."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         for lam in partitions_of(n):
             for k in range(n + 1):
                 for mu in partitions_of(k):
@@ -167,29 +174,29 @@ def check_inner_sum_vanishing(max_n: int = 6) -> dict:
                     d = max(rows(lam), rows(mu))
                     if shifted_schur_eval(mu, lam, d) != 0 or branching_sum_lr(lam, mu, n) != 0:
                         failures += 1
-    return _report("inner-sum-vanishing", failures, cases)
+    return _report(failures, cases)
 
 
-def check_inner_sum_kron(max_n: int = 6, max_q: int = 6) -> dict:
+def check_inner_sum_kron(*, seed: int, size_cap: int | None) -> dict:
     """n! * sum_nu g e^q_nu = value of the character polynomial at q."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
                 poly = character_polynomial(lam, mu)
-                for q in range(1, max_q + 1):
+                for q in range(1, 7):
                     cases += 1
                     if factorial(n) * branching_sum_kron(lam, mu, q) != poly(q):
                         failures += 1
-    return _report("inner-sum-inner-trace", failures, cases)
+    return _report(failures, cases)
 
 
-def check_chi_poly_symmetries(max_n: int = 6) -> dict:
+def check_chi_poly_symmetries(*, seed: int, size_cap: int | None) -> dict:
     """Symmetry in the pair, conjugate-pair equality, sign rule under one
     conjugation, and orthogonality at q=1."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
@@ -205,14 +212,14 @@ def check_chi_poly_symmetries(max_n: int = 6) -> dict:
                 ok = ok and (not a.coeffs or a.coeffs[0] == 0)
                 if not ok:
                     failures += 1
-    return _report("character-polynomial-symmetries", failures, cases)
+    return _report(failures, cases)
 
 
-def check_root_structure(max_n: int = 6) -> dict:
+def check_root_structure(*, seed: int, size_cap: int | None) -> dict:
     """Contiguous integer roots around 0, the row bound on q+, and q+ = 1
     exactly on the diagonal.  root_range raises if structure is broken."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
@@ -224,17 +231,18 @@ def check_root_structure(max_n: int = 6) -> dict:
                     continue
                 ok = 0 in rr.roots or (rr.q_plus == 1 and lam == mu)
                 ok = ok and rr.roots == list(range(rr.q_minus + 1, rr.q_plus))
+                ok = ok and rr.q_plus <= max(len(lam), len(mu))
                 ok = ok and ((rr.q_plus == 1) == (lam == mu))
                 if not ok:
                     failures += 1
-    return _report("root-structure", failures, cases)
+    return _report(failures, cases)
 
 
-def check_trace_states(max_n: int = 5, max_d: int = 4) -> dict:
+def check_trace_states(*, seed: int, size_cap: int | None) -> dict:
     """Both trace maps return genuine states: non-negative weights, sum 1."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
-        for d in range(1, max_d + 1):
+    for n in range(1, 6):
+        for d in range(1, 5):
             for lam in partitions_of(n, d):
                 for k in range(1, n + 1):
                     cases += 1
@@ -246,12 +254,12 @@ def check_trace_states(max_n: int = 5, max_d: int = 4) -> dict:
                     cases += 1
                     if not dual_trace(lam, p, q).is_state():
                         failures += 1
-    return _report("trace-maps-preserve-states", failures, cases)
+    return _report(failures, cases)
 
 
-def check_cycle_sum(max_n: int = 4) -> dict:
+def check_cycle_sum(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for p in (2, 3):
             for q in (2, 3):
                 for lam in partitions_of(n, p * q):
@@ -259,19 +267,19 @@ def check_cycle_sum(max_n: int = 4) -> dict:
                     coeffs = cycle_sum_expansion(lam, p, q)
                     if recombine_cycle_sum(coeffs, p) != dual_trace(lam, p, q):
                         failures += 1
-    return _report("cycle-sum-recombination", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dual_twirl_trace(max_n: int = 6, max_d: int = 5) -> dict:
+def check_dual_twirl_trace(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
-    for n in range(1, max_n + 1):
-        for d in range(1, max_d + 1):
+    for n in range(1, 7):
+        for d in range(1, 6):
             for alpha in partitions_of(n):
                 cases += 1
                 w = dual_twirl_cycle(alpha, d)
                 if w.total() != Fraction(d ** rows(alpha), d**n):
                     failures += 1
-    return _report("cycle-operator-trace", failures, cases)
+    return _report(failures, cases)
 
 
 def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -280,7 +288,7 @@ def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     return tuple(sorted((x / total for x in raw), reverse=True))
 
 
-def check_twirl_sum(seed: int = 0) -> dict:
+def check_twirl_sum(*, seed: int, size_cap: int | None) -> dict:
     """Twirled powers are states; pure and fully mixed specializations."""
     rng = random.Random(seed)
     failures = cases = 0
@@ -298,10 +306,10 @@ def check_twirl_sum(seed: int = 0) -> dict:
             flat = twirl_power((Fraction(1, d),) * d, k)
             if flat != fully_mixed(k, d):
                 failures += 1
-    return _report("twirl-power-weights", failures, cases)
+    return _report(failures, cases)
 
 
-def check_schur_two_paths(seed: int = 0) -> dict:
+def check_schur_two_paths(*, seed: int, size_cap: int | None) -> dict:
     rng = random.Random(seed)
     failures = cases = 0
     shapes = [mu for k in range(1, 5) for mu in partitions_of(k)]
@@ -312,10 +320,10 @@ def check_schur_two_paths(seed: int = 0) -> dict:
                 cases += 1
                 if schur_eval(mu, r) != schur_eval_tableau(mu, list(r)):
                     failures += 1
-    return _report("schur-evaluation-paths", failures, cases)
+    return _report(failures, cases)
 
 
-def check_shifted_schur_scaling() -> dict:
+def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> dict:
     """Scaled diagrams: the normalized shifted value approaches the Schur
     value monotonically at an O(1/m) rate (ratio within a factor 2 of 10
     per decade of m)."""
@@ -334,26 +342,28 @@ def check_shifted_schur_scaling() -> dict:
         ok = ok and Fraction(5) <= deltas[1] / deltas[2] <= Fraction(20)
         if not ok:
             failures += 1
-    return _report("shifted-schur-scaling-limit", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dual_definetti_weights(max_n: int = 4, max_p: int = 3, max_q: int = 6) -> dict:
+def check_dual_definetti_weights(*, seed: int, size_cap: int | None) -> dict:
     """Distance from the traced state to fully mixed obeys the exact bound,
-    for every diagram in range.  Pure rational comparison, no tolerance."""
+    strictly for n >= 2 (at n = 1 both sides are 0), for every diagram in
+    range.  Pure rational comparison, no tolerance."""
     failures = cases = 0
-    for n in range(1, max_n + 1):
-        for p in range(1, max_p + 1):
-            for q in range(n, max_q + 1):
+    for n in range(1, 5):
+        for p in range(1, 4):
+            for q in range(n, 7):
                 mixed = fully_mixed(n, p)
                 bound = definetti_bound_dual(n, q)
                 for lam in partitions_of(n, p * q):
                     cases += 1
-                    if trace_distance(dual_trace(lam, p, q), mixed) > bound:
+                    dist = trace_distance(dual_trace(lam, p, q), mixed)
+                    if dist > bound or (dist == bound and n > 1):
                         failures += 1
-    return _report("dual-definetti-weight-sweep", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dual_definetti_asymptote() -> dict:
+def check_dual_definetti_asymptote(*, seed: int, size_cap: int | None) -> dict:
     """For large q the exact bound is within 1% of 2n(n-1)/q."""
     failures = cases = 0
     for n in (2, 3):
@@ -363,10 +373,10 @@ def check_dual_definetti_asymptote() -> dict:
         lead = Fraction(2 * n * (n - 1), q)
         if abs(exact - lead) > lead / 100:
             failures += 1
-    return _report("dual-definetti-asymptote", failures, cases)
+    return _report(failures, cases)
 
 
-def check_sym_definetti_regime() -> dict:
+def check_sym_definetti_regime(*, seed: int, size_cap: int | None) -> dict:
     """Subsystem-trace distance to the twirled power state obeys the leading
     bound in the regime lam_min >= 20 k^2 where that term dominates."""
     failures = cases = 0
@@ -376,10 +386,10 @@ def check_sym_definetti_regime() -> dict:
         dist = trace_distance(trace_out_sym(lam, k, d), twirl_power(normalized(lam), k))
         if dist > definetti_bound_sym(k, lam[-1]):
             failures += 1
-    return _report("sym-definetti-dominant-regime", failures, cases)
+    return _report(failures, cases)
 
 
-def check_bound_edges() -> dict:
+def check_bound_edges(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
     cases += 1
     if definetti_bound_dual(1, 7) != 0 or definetti_bound_dual(2, 2) != Fraction(3, 2):
@@ -393,27 +403,25 @@ def check_bound_edges() -> dict:
         failures += 1
     except ValueError:
         pass
-    return _report("bound-edge-cases", failures, cases)
+    return _report(failures, cases)
 
 
 # --- oracle suite ----------------------------------------------------------
 
 
-def check_perm_traces(size_cap: int | None = None) -> dict:
-    from itertools import permutations as iperm
-
+def check_perm_traces(*, seed: int, size_cap: int | None) -> dict:
     failures = cases = 0
     for n in (2, 3):
         for d in (2, 3):
-            for pi in iperm(range(n)):
+            for pi in permutations(range(n)):
                 cases += 1
                 op = oracle.permutation_operator(pi, d, size_cap=size_cap)
                 if op.trace() != d ** rows(oracle.cycle_type(pi)):
                     failures += 1
-    return _report("permutation-traces", failures, cases)
+    return _report(failures, cases)
 
 
-def check_sw_families(size_cap: int | None = None) -> dict:
+def check_sw_families(*, seed: int, size_cap: int | None) -> dict:
     """Orthogonality, completeness and traces of the duality projectors."""
     failures = cases = 0
     for d, n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (6, 2), (4, 3)):
@@ -433,15 +441,15 @@ def check_sw_families(size_cap: int | None = None) -> dict:
                     ok = ok and (ps[a] @ ps[b]).is_zero()
         if not ok:
             failures += 1
-    return _report("duality-projector-families", failures, cases)
+    return _report(failures, cases)
 
 
-def check_trace_formula_oracle(max_d: int = 3, max_n: int = 4,
-                               size_cap: int | None = None) -> dict:
-    """Dense partial trace of each block state equals the weight formula."""
+def check_trace_formula_oracle(*, seed: int, size_cap: int | None) -> dict:
+    """Dense partial trace of each block state is a state and equals the
+    weight formula."""
     failures = cases = 0
-    for d in range(2, max_d + 1):
-        for n in range(2, max_n + 1):
+    for d in range(2, 4):
+        for n in range(2, 5):
             for lam in partitions_of(n, d):
                 ef = dim_unitary(lam, d) * dim_sym(lam)
                 rho = oracle.schur_weyl_projector(lam, d, size_cap=size_cap) * Fraction(1, ef)
@@ -450,14 +458,14 @@ def check_trace_formula_oracle(max_d: int = 3, max_n: int = 4,
                     red = oracle.partial_trace_subsystems(rho, k)
                     wts = oracle.schur_weyl_weights(red, size_cap=size_cap)
                     expect = trace_out_sym(lam, k, d)
-                    ok = wts == dict(expect.weights)
+                    ok = red.trace() == 1 and wts == dict(expect.weights)
                     ok = ok and oracle.werner_combination(expect, size_cap=size_cap).same_as(red)
                     if not ok:
                         failures += 1
-    return _report("subsystem-trace-oracle", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dual_trace_oracle(size_cap: int | None = None) -> dict:
+def check_dual_trace_oracle(*, seed: int, size_cap: int | None) -> dict:
     """Dense inner partial trace equals the dual weight formula, both for the
     full block state and for a single-irrep copy."""
     failures = cases = 0
@@ -481,17 +489,15 @@ def check_dual_trace_oracle(size_cap: int | None = None) -> dict:
             ok = ok and oracle.schur_weyl_weights(red2, size_cap=size_cap) == expect
             if not ok:
                 failures += 1
-    return _report("inner-trace-oracle", failures, cases)
+    return _report(failures, cases)
 
 
-def check_dual_twirl_oracle(size_cap: int | None = None) -> dict:
+def check_dual_twirl_oracle(*, seed: int, size_cap: int | None) -> dict:
     """Averaged permutation operators expand with the predicted coefficients,
     including the (2,1) at d=3 value (10/27, 0, -1/27)."""
-    from itertools import permutations as iperm
-
     failures = cases = 0
     for d in (2, 3):
-        for pi in iperm(range(3)):
+        for pi in permutations(range(3)):
             cases += 1
             op = oracle.permutation_operator(pi, d, size_cap=size_cap) * Fraction(1, d**3)
             sym = oracle.symmetric_average(op)
@@ -502,10 +508,10 @@ def check_dual_twirl_oracle(size_cap: int | None = None) -> dict:
     special = dict(dual_twirl_cycle((2, 1), 3).weights)
     if special != {(3,): Fraction(10, 27), (2, 1): Fraction(0), (1, 1, 1): Fraction(-1, 27)}:
         failures += 1
-    return _report("cycle-operator-oracle", failures, cases)
+    return _report(failures, cases)
 
 
-def check_young_projectors(size_cap: int | None = None) -> dict:
+def check_young_projectors(*, seed: int, size_cap: int | None) -> dict:
     """Idempotence, symmetry, trace (= rank = unitary dimension), the
     symmetric-subspace and antisymmetrizer specializations, and the
     permutation average collapsing to the block projector."""
@@ -537,15 +543,12 @@ def check_young_projectors(size_cap: int | None = None) -> dict:
     want = oracle.schur_weyl_projector((2, 1), 2, size_cap=size_cap) * Fraction(1, dim_sym((2, 1)))
     if not avg.same_as(want):
         failures += 1
-    return _report("tableau-projectors", failures, cases)
+    return _report(failures, cases)
 
 
-def check_twirl_projection_oracle(seed: int = 0, size_cap: int | None = None) -> dict:
+def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> dict:
     """For diagonal states the dense block projections of sigma^(x k) match
     the twirled-power weights exactly."""
-    import numpy as np
-    from math import gcd
-
     rng = random.Random(seed)
     failures = cases = 0
     d = 2
@@ -569,16 +572,16 @@ def check_twirl_projection_oracle(seed: int = 0, size_cap: int | None = None) ->
             wts = oracle.schur_weyl_weights(power, size_cap=size_cap)
             if wts != dict(twirl_power(r, k).weights):
                 failures += 1
-    return _report("twirl-power-oracle", failures, cases)
+    return _report(failures, cases)
 
 
-def check_general_dual_oracle(max_q: int = 6, size_cap: int | None = None) -> dict:
+def check_general_dual_oracle(*, seed: int, size_cap: int | None) -> dict:
     """Single-irrep states of shape (2,1): bound, remainder positivity and
     monotone approach to fully mixed over the q sweep."""
     failures = cases = 0
     t21 = oracle.first_standard_tableau((2, 1))
     deltas = []
-    for q in range(3, max_q + 1):
+    for q in range(3, 7):
         cases += 1
         rep = oracle.verify_general_dual(t21, 2, q, size_cap=size_cap)
         deltas.append(rep["delta"])
@@ -592,10 +595,10 @@ def check_general_dual_oracle(max_q: int = 6, size_cap: int | None = None) -> di
                                      size_cap=size_cap)
     if not rep["pass"]:
         failures += 1
-    return _report("general-dual-definetti", failures, cases)
+    return _report(failures, cases)
 
 
-def check_trace_norm_paths(size_cap: int | None = None) -> dict:
+def check_trace_norm_paths(*, seed: int, size_cap: int | None) -> dict:
     """Float trace norm agrees with the exact weight-difference norm for
     operators diagonal in the duality basis."""
     failures = cases = 0
@@ -610,13 +613,11 @@ def check_trace_norm_paths(size_cap: int | None = None) -> dict:
     proj = oracle.schur_weyl_projector((2,), 2, size_cap=size_cap)
     if abs(oracle.trace_norm(proj) - float(proj.trace())) > 1e-9:
         failures += 1
-    return _report("trace-norm-paths", failures, cases)
+    return _report(failures, cases)
 
 
-def check_partial_trace_rules(size_cap: int | None = None) -> dict:
+def check_partial_trace_rules(*, seed: int, size_cap: int | None) -> dict:
     """Product states reduce factor-wise and traces are preserved."""
-    import numpy as np
-
     failures = cases = 0
     a = np.empty((2, 2), dtype=object)
     a[:] = [[2, 1], [1, 3]]
@@ -639,72 +640,72 @@ def check_partial_trace_rules(size_cap: int | None = None) -> dict:
     full = oracle.partial_trace_subsystems(ab, 2)
     if not full.same_as(ab):
         failures += 1
-    return _report("partial-trace-rules", failures, cases)
+    return _report(failures, cases)
 
 
-FORMULA_CHECKS = [
-    check_character_orthogonality,
-    check_dimension_identities,
-    check_lr_two_paths,
-    check_kron_symmetry,
-    check_kronecker_row_bound,
-    check_inner_sum_lr,
-    check_inner_sum_vanishing,
-    check_inner_sum_kron,
-    check_chi_poly_symmetries,
-    check_root_structure,
-    check_trace_states,
-    check_cycle_sum,
-    check_dual_twirl_trace,
-    check_shifted_schur_scaling,
-]
+# report name -> check, in run order
+FORMULAS = {
+    "character-orthogonality": check_character_orthogonality,
+    "dimension-identities": check_dimension_identities,
+    "lr-two-paths": check_lr_two_paths,
+    "kronecker-symmetry": check_kron_symmetry,
+    "kronecker-row-bound": check_kronecker_row_bound,
+    "inner-sum-subsystem": check_inner_sum_lr,
+    "inner-sum-vanishing": check_inner_sum_vanishing,
+    "inner-sum-inner-trace": check_inner_sum_kron,
+    "character-polynomial-symmetries": check_chi_poly_symmetries,
+    "root-structure": check_root_structure,
+    "trace-maps-preserve-states": check_trace_states,
+    "cycle-sum-recombination": check_cycle_sum,
+    "cycle-operator-trace": check_dual_twirl_trace,
+    "shifted-schur-scaling-limit": check_shifted_schur_scaling,
+    "twirl-power-weights": check_twirl_sum,
+    "schur-evaluation-paths": check_schur_two_paths,
+}
 
-BOUND_CHECKS = [
-    check_dual_definetti_weights,
-    check_dual_definetti_asymptote,
-    check_sym_definetti_regime,
-    check_bound_edges,
-]
+BOUNDS = {
+    "dual-definetti-weight-sweep": check_dual_definetti_weights,
+    "dual-definetti-asymptote": check_dual_definetti_asymptote,
+    "sym-definetti-dominant-regime": check_sym_definetti_regime,
+    "bound-edge-cases": check_bound_edges,
+}
+
+ORACLE = {
+    "permutation-traces": check_perm_traces,
+    "duality-projector-families": check_sw_families,
+    "subsystem-trace-oracle": check_trace_formula_oracle,
+    "inner-trace-oracle": check_dual_trace_oracle,
+    "cycle-operator-oracle": check_dual_twirl_oracle,
+    "tableau-projectors": check_young_projectors,
+    "twirl-power-oracle": check_twirl_projection_oracle,
+    "general-dual-definetti": check_general_dual_oracle,
+    "trace-norm-paths": check_trace_norm_paths,
+    "partial-trace-rules": check_partial_trace_rules,
+}
+
+SUITES = {"formulas": FORMULAS, "bounds": BOUNDS, "oracle": ORACLE}
 
 
-def _run(check, *args, **kwargs) -> dict:
-    """A crash inside a check is a failed check, not a crashed suite.
-    Size-cap errors do propagate: they are a resource condition, not a
-    verification verdict."""
-    from .errors import SizeCapError
-
+def _run(name: str, check, seed: int = 0, size_cap: int | None = None) -> dict:
+    """The report of one check under its registry name.  A crash inside a
+    check is a failed check, not a crashed suite.  Size-cap errors do
+    propagate: they are a resource condition, not a verification verdict."""
     try:
-        return check(*args, **kwargs)
+        return {"check": name, **check(seed=seed, size_cap=size_cap)}
     except SizeCapError:
         raise
     except Exception as exc:
-        name = check.__name__.removeprefix("check_").replace("_", "-")
         return {"check": name, "lhs": f"exception: {exc}", "rhs": "0 failures",
                 "pass": False}
 
 
 def run_suite(suite: str, size_cap: int | None = None, seed: int = 0) -> list[dict]:
     """Run one of formulas | bounds | oracle | all; returns the report list."""
-    reports: list[dict] = []
-    if suite in ("formulas", "all"):
-        for check in FORMULA_CHECKS:
-            reports.append(_run(check))
-        reports.append(_run(check_twirl_sum, seed))
-        reports.append(_run(check_schur_two_paths, seed))
-    if suite in ("bounds", "all"):
-        for check in BOUND_CHECKS:
-            reports.append(_run(check))
-    if suite in ("oracle", "all"):
-        reports.append(_run(check_perm_traces, size_cap))
-        reports.append(_run(check_sw_families, size_cap))
-        reports.append(_run(check_trace_formula_oracle, size_cap=size_cap))
-        reports.append(_run(check_dual_trace_oracle, size_cap))
-        reports.append(_run(check_dual_twirl_oracle, size_cap))
-        reports.append(_run(check_young_projectors, size_cap))
-        reports.append(_run(check_twirl_projection_oracle, seed, size_cap))
-        reports.append(_run(check_general_dual_oracle, size_cap=size_cap))
-        reports.append(_run(check_trace_norm_paths, size_cap))
-        reports.append(_run(check_partial_trace_rules, size_cap))
-    if not reports:
+    if suite == "all":
+        registries = list(SUITES.values())
+    elif suite in SUITES:
+        registries = [SUITES[suite]]
+    else:
         raise ValueError(f"unknown suite {suite!r}")
-    return reports
+    return [_run(name, check, seed, size_cap)
+            for registry in registries for name, check in registry.items()]

@@ -2,39 +2,18 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every check is exact unless the criterion itself states a float
-tolerance.  Wall-clock budgets are asserted alongside the math.
+tolerance.  Wall-clock budgets are asserted alongside the math.  Criteria
+3-10 are registered `verify` checks run within their budgets.
 """
 
-import json
 import time
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 from pathlib import Path
 
-from schurweyl import oracle
-from schurweyl.characters import (
-    CharacterTable,
-    dim_sym,
-    dim_unitary,
-    dim_unitary_charsum,
-)
-from schurweyl.coefficients import branching_sum_kron, branching_sum_lr
-from schurweyl.partitions import (
-    class_size,
-    conjugate,
-    contains,
-    normalized,
-    partitions_of,
-    rows,
-    skew_standard_count,
-)
-from schurweyl.symfunc import falling_factorial, schur_eval, shifted_schur_eval
+from schurweyl import verify
 from schurweyl.werner import (
     character_polynomial,
-    definetti_bound_dual,
     dual_trace,
-    dual_twirl_cycle,
     fully_mixed,
     root_range,
     trace_distance,
@@ -87,152 +66,47 @@ def test_criterion_02_two_copy_worked_example(capsys):
         _criterion(2, "two-copy inner trace closed form, exact", t0, 1.0)
 
 
-def test_criterion_03_dual_trace_oracle(capsys):
-    t0 = time.monotonic()
-    for p, q, n in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
-        for lam in partitions_of(n, p * q):
-            e = dim_unitary(lam, p * q)
-            single = oracle.young_projector(
-                oracle.first_standard_tableau(lam), p * q
-            ) * Fraction(1, e)
-            single.bipartite = (p, q)
-            red = oracle.partial_trace_inner(single)
-            assert oracle.schur_weyl_weights(red) == dict(dual_trace(lam, p, q).weights)
-    with capsys.disabled():
-        _criterion(3, "dense inner trace equals weight formula, exact", t0, 60.0)
+CHECKS = {name: check for registry in verify.SUITES.values() for name, check in registry.items()}
+
+# test -> (criterion, label, wall-clock budget in seconds, registered checks)
+REGISTERED_CRITERIA = {
+    "test_criterion_03_dual_trace_oracle":
+        (3, "dense inner trace equals weight formula, exact", 60.0, ["inner-trace-oracle"]),
+    "test_criterion_04_subsystem_trace_oracle":
+        (4, "dense subsystem trace equals weight formula, exact", 60.0,
+         ["subsystem-trace-oracle"]),
+    "test_criterion_05_dual_definetti_bound":
+        (5, "inner-trace distance bound, all diagrams in range", 120.0,
+         ["dual-definetti-weight-sweep", "general-dual-definetti"]),
+    "test_criterion_06_dual_twirl":
+        (6, "symmetrised cycle operators, incl. (10/27, 0, -1/27)", 10.0,
+         ["cycle-operator-oracle"]),
+    "test_criterion_07_inner_sum_identities":
+        (7, "inner-sum identities, three paths, exact", 60.0,
+         ["inner-sum-subsystem", "inner-sum-inner-trace"]),
+    "test_criterion_08_root_structure":
+        (8, "integral-root windows and conjugation identities", 30.0,
+         ["root-structure", "character-polynomial-symmetries"]),
+    "test_criterion_09_character_infrastructure":
+        (9, "character tables, orthogonality and dimensions", 30.0,
+         ["character-orthogonality", "dimension-identities"]),
+    "test_criterion_10_asymptotic_regime":
+        (10, "asymptotics via scaling checks, not equalities", 30.0,
+         ["shifted-schur-scaling-limit"]),
+}
 
 
-def test_criterion_04_subsystem_trace_oracle(capsys):
-    t0 = time.monotonic()
-    from schurweyl.werner import trace_out_sym
+def _registered_criterion(num: int, label: str, budget: float, names: list[str]):
+    def test(capsys):
+        t0 = time.monotonic()
+        for name in names:
+            report = verify._run(name, CHECKS[name])
+            assert report["pass"], report
+        with capsys.disabled():
+            _criterion(num, label, t0, budget)
 
-    for d in (2, 3):
-        for n in range(2, 5):
-            for lam in partitions_of(n, d):
-                ef = dim_unitary(lam, d) * dim_sym(lam)
-                rho = oracle.schur_weyl_projector(lam, d) * Fraction(1, ef)
-                for k in range(1, n + 1):
-                    red = oracle.partial_trace_subsystems(rho, k)
-                    expect = trace_out_sym(lam, k, d)
-                    assert oracle.schur_weyl_weights(red) == dict(expect.weights)
-                    assert oracle.werner_combination(expect).same_as(red)
-    with capsys.disabled():
-        _criterion(4, "dense subsystem trace equals weight formula, exact", t0, 60.0)
+    return test
 
 
-def test_criterion_05_dual_definetti_bound(capsys):
-    t0 = time.monotonic()
-    for n in range(1, 4):
-        for p in range(1, 4):
-            for q in range(n, 7):
-                mixed = fully_mixed(n, p)
-                bound = definetti_bound_dual(n, q)
-                for lam in partitions_of(n, p * q):
-                    dist = trace_distance(dual_trace(lam, p, q), mixed)
-                    assert dist <= bound, (lam, p, q)
-                    if n >= 2:  # at n=1 both sides are exactly 0
-                        assert dist < bound, (lam, p, q)
-    for p, q in ((2, 3), (2, 4)):
-        rep = oracle.verify_general_dual(oracle.first_standard_tableau((2, 1)), p, q)
-        assert rep["delta"] <= rep["bound"] + 1e-7
-        assert rep["min_residual_eig"] >= -1e-7
-    with capsys.disabled():
-        _criterion(5, "inner-trace distance bound, all diagrams in range", t0, 120.0)
-
-
-def test_criterion_06_dual_twirl(capsys):
-    t0 = time.monotonic()
-    for d in (2, 3):
-        for pi in permutations(range(3)):
-            op = oracle.permutation_operator(pi, d) * Fraction(1, d**3)
-            wts = oracle.schur_weyl_weights(oracle.symmetric_average(op))
-            assert wts == dict(dual_twirl_cycle(oracle.cycle_type(pi), d).weights)
-    special = dual_twirl_cycle((2, 1), 3)
-    assert dict(special.weights) == {
-        (3,): Fraction(10, 27),
-        (2, 1): Fraction(0),
-        (1, 1, 1): Fraction(-1, 27),
-    }
-    assert special.total() == Fraction(1, 3)
-    with capsys.disabled():
-        _criterion(6, "symmetrised cycle operators, incl. (10/27, 0, -1/27)", t0, 10.0)
-
-
-def test_criterion_07_inner_sum_identities(capsys):
-    t0 = time.monotonic()
-    for n in range(1, 8):
-        for lam in partitions_of(n):
-            f = dim_sym(lam)
-            for k in range(n + 1):
-                for mu in partitions_of(k):
-                    if not contains(mu, lam):
-                        continue
-                    d = max(rows(lam), rows(mu), 1)
-                    skew = skew_standard_count(lam, mu)
-                    assert branching_sum_lr(lam, mu, n) == skew
-                    shifted = shifted_schur_eval(mu, lam, d)
-                    assert Fraction(f) * shifted / falling_factorial(n, k) == skew
-    for n in range(1, 7):
-        parts = partitions_of(n)
-        for lam in parts:
-            for mu in parts:
-                poly = character_polynomial(lam, mu)
-                for q in range(1, 7):
-                    assert factorial(n) * branching_sum_kron(lam, mu, q) == poly(q)
-    with capsys.disabled():
-        _criterion(7, "inner-sum identities, three paths, exact", t0, 60.0)
-
-
-def test_criterion_08_root_structure(capsys):
-    t0 = time.monotonic()
-    for n in range(1, 7):
-        parts = partitions_of(n)
-        for lam in parts:
-            for mu in parts:
-                rr = root_range(lam, mu)  # raises if not contiguous/positive
-                assert rr.q_plus <= max(rows(lam), rows(mu))
-                assert (rr.q_plus == 1) == (lam == mu)
-                a = character_polynomial(lam, mu)
-                assert a == character_polynomial(conjugate(lam), conjugate(mu))
-                b = character_polynomial(conjugate(lam), mu)
-                assert all(b(q) == (-1) ** n * a(-q) for q in range(-n, n + 1))
-    with capsys.disabled():
-        _criterion(8, "integral-root windows and conjugation identities", t0, 30.0)
-
-
-def test_criterion_09_character_infrastructure(capsys):
-    t0 = time.monotonic()
-    for n in range(1, 9):
-        assert CharacterTable(n).check_orthogonality()
-        assert sum(dim_sym(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
-        assert sum(class_size(a) for a in partitions_of(n)) == factorial(n)
-    for n in range(1, 7):
-        for d in range(1, 6):
-            total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
-            assert total == d**n
-            for lam in partitions_of(n):
-                assert dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
-    with capsys.disabled():
-        _criterion(9, "character tables, orthogonality and dimensions", t0, 30.0)
-
-
-def test_criterion_10_asymptotic_regime(capsys):
-    t0 = time.monotonic()
-    # scaling property: the normalized shifted value approaches the Schur
-    # value monotonically at an O(1/m) rate over m = 1, 10, 100
-    for mu, lam in (((2,), (2, 1)), ((1, 1), (2, 1)), ((2, 1), (3, 2, 1))):
-        n, k = sum(lam), sum(mu)
-        target = schur_eval(mu, normalized(lam))
-        deltas = []
-        for m in (1, 10, 100):
-            scaled = tuple(m * x for x in lam)
-            val = shifted_schur_eval(mu, scaled, len(lam)) / falling_factorial(m * n, k)
-            deltas.append(abs(val - target))
-        assert deltas[0] > deltas[1] > deltas[2]
-        assert Fraction(5) <= deltas[1] / deltas[2] <= Fraction(20)
-    # the exact bound exceeds its first-order form, and strictly so at n >= 2
-    for n in (2, 3):
-        for q in range(n, 8):
-            assert definetti_bound_dual(n, q) > 0
-    with capsys.disabled():
-        _criterion(10, "asymptotics via scaling checks, not equalities", t0, 30.0)
+for _test, _spec in REGISTERED_CRITERIA.items():
+    globals()[_test] = _registered_criterion(*_spec)

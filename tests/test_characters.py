@@ -75,9 +75,8 @@ def test_schur_weyl_trace_identity():
             assert schur_weyl_trace_identity(n, d)
 
 
-def test_character_table_orthogonality_small():
-    for n in range(1, 6):
-        assert CharacterTable(n).check_orthogonality()
+def test_character_table_orthogonality_small(check_passes):
+    check_passes("character-orthogonality")
 
 
 def test_character_table_rows():

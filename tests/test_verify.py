@@ -1,35 +1,72 @@
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
 
 from schurweyl import characters, verify
 from schurweyl.partitions import partitions_of
 
+NAMES = [name for registry in verify.SUITES.values() for name in registry]
 
-def test_full_suite_passes_on_a_correct_build():
-    reports = verify.run_suite("all")
-    names = [r["check"] for r in reports]
-    assert len(names) == len(set(names))
-    failed = [r for r in reports if not r["pass"]]
-    assert not failed, failed
+
+def test_report_names_are_unique():
+    assert len(NAMES) == len(set(NAMES)) == 30
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_registered_check_passes(name, check_passes):
+    check_passes(name)
 
 
 def test_suite_rejects_unknown_name():
-    import pytest
-
     with pytest.raises(ValueError):
         verify.run_suite("nonsense")
 
 
-def test_crashing_check_becomes_a_failed_report():
-    def check_boom():
-        raise RuntimeError("boom")
+def _boom(*, seed, size_cap):
+    raise RuntimeError("boom")
 
-    rep = verify._run(check_boom)
+
+def test_crashing_check_becomes_a_failed_report():
+    rep = verify._run("boom", _boom)
     assert rep == {
         "check": "boom",
         "lhs": "exception: boom",
         "rhs": "0 failures",
         "pass": False,
     }
+
+
+def test_crashing_check_reports_under_its_registered_name(monkeypatch):
+    monkeypatch.setitem(verify.BOUNDS, "bound-edge-cases", _boom)
+    reports = verify.run_suite("bounds")
+    assert [r["check"] for r in reports] == list(verify.BOUNDS)
+    assert reports[-1]["lhs"] == "exception: boom" and not reports[-1]["pass"]
+
+
+def test_every_check_call_goes_through_a_rebindable_binding(monkeypatch):
+    # the benchmark times one operation per check by rebinding each check_*
+    # wherever verify binds it; a check reached any other way goes untimed
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracing
+
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    wrapped = {id(fn): (fn, counting(fn)) for name, fn in vars(verify).items()
+               if name.startswith("check_") and callable(fn)}
+    tracing.rebind([verify], wrapped)
+    try:
+        reports = verify.run_suite("bounds")
+    finally:
+        tracing.rebind([verify], {id(new): (new, old) for old, new in wrapped.values()})
+    assert len(calls) == len(reports) == len(verify.BOUNDS)
+    assert verify.BOUNDS["bound-edge-cases"] is verify.check_bound_edges  # restored
 
 
 def test_character_cache_tolerates_concurrent_use():

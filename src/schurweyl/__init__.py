@@ -22,23 +22,6 @@ from .coefficients import (
     littlewood_richardson_char,
 )
 from .errors import ConsistencyError, SizeCapError
-from .oracle import (
-    DEFAULT_SIZE_CAP,
-    DenseOperator,
-    first_standard_tableau,
-    identity_operator,
-    partial_trace_inner,
-    partial_trace_subsystems,
-    permutation_operator,
-    schur_weyl_projector,
-    schur_weyl_weights,
-    standard_tableaux,
-    symmetric_average,
-    trace_norm,
-    verify_general_dual,
-    werner_combination,
-    young_projector,
-)
 from .partitions import (
     Partition,
     as_partition,
@@ -71,6 +54,24 @@ from .werner import (
 )
 
 __version__ = "0.1.0"
+
+# the dense oracle needs numpy, so it is imported on first use of one of
+# its names rather than with the package (PEP 562)
+_ORACLE_NAMES = frozenset({
+    "DEFAULT_SIZE_CAP", "DenseOperator", "first_standard_tableau", "identity_operator",
+    "partial_trace_inner", "partial_trace_subsystems", "permutation_operator",
+    "schur_weyl_projector", "schur_weyl_weights", "standard_tableaux", "symmetric_average",
+    "trace_norm", "verify_general_dual", "werner_combination", "young_projector",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CharacterTable",

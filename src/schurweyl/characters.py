@@ -23,7 +23,11 @@ _char_cache: dict[tuple[Partition, Partition], int] = {}
 
 
 def clear_character_cache() -> None:
+    """Empty the character memo and every memo built from its values."""
+    from .werner import _chi_poly  # werner imports this module
+
     _char_cache.clear()
+    _chi_poly.cache_clear()
 
 
 def _strip_removals(lam: Partition, t: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import index
 
 Partition = tuple[int, ...]
 
@@ -19,9 +20,10 @@ def as_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of row lengths.
 
     Raises ValueError unless the rows are weakly decreasing positive
-    integers (trailing zeros are tolerated and trimmed).
+    integers (trailing zeros are tolerated and trimmed).  A bool or a
+    non-integral row is rejected, not rounded; numpy integers are accepted.
     """
-    t = tuple(int(p) for p in parts)
+    t = tuple(_row(p) for p in parts)
     while t and t[-1] == 0:
         t = t[:-1]
     for i, p in enumerate(t):
@@ -30,6 +32,15 @@ def as_partition(parts) -> Partition:
         if i + 1 < len(t) and t[i + 1] > p:
             raise ValueError(f"partition rows must be weakly decreasing, got {t}")
     return t
+
+
+def _row(p) -> int:
+    if not isinstance(p, bool):
+        try:
+            return index(p)
+        except TypeError:
+            pass
+    raise ValueError(f"partition rows must be integers, got {p!r}")
 
 
 def rows(lam: Partition) -> int:
@@ -167,7 +178,7 @@ def parse_partition(text: str) -> Partition:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a partition: {text!r}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list):
         raise ValueError(f"not a partition: {text!r}")
     return as_partition(data)
 

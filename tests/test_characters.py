@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from schurweyl import characters
 from schurweyl.characters import (
     CharacterTable,
     clear_character_cache,
@@ -12,6 +13,7 @@ from schurweyl.characters import (
     schur_weyl_trace_identity,
 )
 from schurweyl.partitions import partitions_of, rows
+from schurweyl.werner import character_polynomial
 
 
 def test_trivial_and_sign_characters():
@@ -91,3 +93,15 @@ def test_cache_can_be_cleared_and_refilled():
     assert mn_character((2, 1), (1, 1, 1)) == 2
     clear_character_cache()
     assert mn_character((2, 1), (3,)) == -1
+
+
+def test_clearing_the_cache_drops_polynomials_built_from_it():
+    key = ((2, 1), (1, 1, 1))
+    clear_character_cache()
+    mn_character(*key)
+    characters._char_cache[key] = 5
+    try:
+        assert character_polynomial((2, 1), (2, 1)).coeffs != [0, 2, 0, 4]  # poisoned
+    finally:
+        clear_character_cache()
+    assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 4]

@@ -116,6 +116,11 @@ def test_usage_errors(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "must be positive" in err and "Traceback" not in err
+    # rows that are not integers are not rounded or read as 0/1
+    for argv in (["kron", "[true]", "[1]", "[1]"], ["chi-poly", "[2.5]", "[2]"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be integers" in err and "Traceback" not in err
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import product
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +121,10 @@ def test_as_partition_validation():
         as_partition([1, 2])
     with pytest.raises(ValueError):
         as_partition([2, -1])
+    for rows in ([2.5], [True, 1], [2, 1.0], ["3"]):
+        with pytest.raises(ValueError):
+            as_partition(rows)
+    assert as_partition([np.int64(2), np.int8(1)]) == (2, 1)
 
 
 def test_parse_format_roundtrip():
@@ -129,6 +134,9 @@ def test_parse_format_roundtrip():
         parse_partition("not json")
     with pytest.raises(ValueError):
         parse_partition('{"a": 1}')
+    for text in ("[true]", "[2.5]", "[2, 1.0]"):
+        with pytest.raises(ValueError):
+            parse_partition(text)
 
 
 def test_normalized():

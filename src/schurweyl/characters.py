@@ -157,9 +157,3 @@ class CharacterTable:
                 if s != want:
                     return False
         return True
-
-
-def schur_weyl_trace_identity(n: int, d: int) -> bool:
-    """sum over lambda in Par(n,d) of e^d_lambda f_lambda = d^n, exact."""
-    total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
-    return total == d**n

@@ -2,7 +2,9 @@
 
 Partitions are written as JSON arrays, e.g. "[3,2,1]"; rationals print as
 num/den plus a float rendering.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 size cap exceeded.
+failure, 2 usage error, 3 resource limit (size cap or recursion depth).
+`verify` prints one {check, lhs, rhs, pass, cases, failures, counterexample}
+report per check.
 """
 
 from __future__ import annotations
@@ -385,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = args.func(args, cfg)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: input too deep (recursion limit reached)", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,9 +136,6 @@ class DenseOperator:
     def trace(self) -> Fraction:
         return self.scale * int(np.trace(self.mat))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.scale * int(self.mat[i, j])
-
     def is_symmetric(self) -> bool:
         return bool((self.mat == self.mat.T).all())
 

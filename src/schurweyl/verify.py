@@ -1,24 +1,34 @@
 """The registry of verification checks behind the `verify` subcommand.
 
 Each check recomputes one family of identities or bounds from scratch over
-fixed ranges and returns a report dict {check, lhs, rhs, pass}, where lhs
-reads "F failures in N cases".  Three module-level dicts map report name to
-check, in run order: FORMULAS (pure weight calculus), BOUNDS (the distance
-bounds) and ORACLE (everything rebuilt as dense matrices and re-measured).
-SUITES names them for `run_suite`.  A report name is written only here, as a
-registry key; `_run` stamps it on the report.
+fixed ranges.  It is written as a generator of (case, ok) pairs: case holds
+the parameters of one case as JSON-able data (ints, strings, and tuples or
+lists of them; spectra as "a/b" strings).  The `_tallied` decorator makes
+it the module-level `check_*(*, seed, size_cap) -> dict` that counts its
+pairs through `_tally` into the report {check, lhs, rhs, pass, cases,
+failures, counterexample}: lhs reads "F failures in N cases" and
+counterexample is the first failing case, or None.  The counting happens
+inside the check's own call, so timing a `check_*` binding times its work.
 
-Every check is a module-level `check_*` function taking the keyword-only
-arguments seed and size_cap, used or not, so one loop runs them all.  Keep
-the registries flat and at module level: code that rebinds a check wherever
-it is bound (as `perfbench` does to time each one) replaces module globals
-and the entries of module-level dicts, not of nested ones.
+Three module-level dicts map report name to check, in run order: FORMULAS
+(pure weight calculus), BOUNDS (the distance bounds) and ORACLE (everything
+rebuilt as dense matrices and re-measured).  SUITES names them for
+`run_suite`.  A report name is written only here, as a registry key; `_run`
+stamps it on the report.
+
+Every check takes the keyword-only arguments seed and size_cap, used or
+not, so one loop runs them all.  Keep the registries flat and at module
+level: code that rebinds a check wherever it is bound (as `perfbench` does
+to time each one) replaces module globals and the entries of module-level
+dicts, not of nested ones.
 All checks are deterministic for a fixed (size_cap, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd
@@ -64,54 +74,68 @@ from .werner import (
     twirl_power,
 )
 
+Cases = Iterator[tuple[object, bool]]
 
-def _report(failures: int, cases: int) -> dict:
+
+def _tally(pairs: Iterable[tuple[object, bool]]) -> dict:
+    """The report of one check: its (case, ok) pairs counted."""
+    cases = failures = 0
+    counterexample = None
+    for case, ok in pairs:
+        cases += 1
+        if not ok:
+            if failures == 0:
+                counterexample = case
+            failures += 1
     return {"lhs": f"{failures} failures in {cases} cases", "rhs": "0 failures",
-            "pass": failures == 0}
+            "pass": failures == 0, "cases": cases, "failures": failures,
+            "counterexample": counterexample}
 
 
-def check_character_orthogonality(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+def _tallied(cases: Callable[..., Cases]) -> Callable[..., dict]:
+    """A check that runs the generator `cases` to the end and returns its tally."""
+    @functools.wraps(cases)
+    def check(*, seed: int, size_cap: int | None) -> dict:
+        return _tally(cases(seed=seed, size_cap=size_cap))
+
+    return check
+
+
+def _spectrum(r: tuple[Fraction, ...]) -> tuple[str, ...]:
+    return tuple(f"{x.numerator}/{x.denominator}" for x in r)
+
+
+@_tallied
+def check_character_orthogonality(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 9):
-        cases += 1
-        if not CharacterTable(n).check_orthogonality():
-            failures += 1
-    return _report(failures, cases)
+        yield n, CharacterTable(n).check_orthogonality()
 
 
-def check_dimension_identities(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_dimension_identities(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 7):
-        cases += 1
-        if sum(dim_sym(lam) ** 2 for lam in partitions_of(n)) != factorial(n):
-            failures += 1
+        squares = sum(dim_sym(lam) ** 2 for lam in partitions_of(n))
+        yield ("sum f^2 = n!", n), squares == factorial(n)
         for d in range(1, 6):
-            cases += 1
             total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
-            if total != d**n:
-                failures += 1
+            yield ("sum e f = d^n", n, d), total == d**n
             for lam in partitions_of(n):
-                cases += 1
-                if dim_unitary(lam, d) != dim_unitary_charsum(lam, d):
-                    failures += 1
-    return _report(failures, cases)
+                yield ("e two paths", lam, d), dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
 
 
-def check_lr_two_paths(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_lr_two_paths(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 7):
         for lam in partitions_of(n):
             for k in range(n + 1):
                 for mu in partitions_of(k):
                     for nu in partitions_of(n - k):
-                        cases += 1
-                        if littlewood_richardson(lam, mu, nu) != littlewood_richardson_char(lam, mu, nu):
-                            failures += 1
-    return _report(failures, cases)
+                        yield (lam, mu, nu), (littlewood_richardson(lam, mu, nu)
+                                              == littlewood_richardson_char(lam, mu, nu))
 
 
-def check_kron_symmetry(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_kron_symmetry(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
@@ -119,31 +143,23 @@ def check_kron_symmetry(*, seed: int, size_cap: int | None) -> dict:
                 for nu in parts:
                     base = kronecker(lam, mu, nu)
                     for a, b, c in permutations((lam, mu, nu)):
-                        cases += 1
-                        if kronecker(a, b, c) != base:
-                            failures += 1
-    return _report(failures, cases)
+                        yield ((lam, mu, nu), (a, b, c)), kronecker(a, b, c) == base
 
 
-def check_kronecker_row_bound(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_kronecker_row_bound(*, seed: int, size_cap: int | None) -> Cases:
     """Some nu with few rows couples to every (lam, mu) pair."""
-    failures = cases = 0
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
-                cases += 1
                 cap = max(rows(lam), rows(mu))
-                if not any(
-                    kronecker(lam, mu, nu) > 0 for nu in partitions_of(n, cap)
-                ):
-                    failures += 1
-    return _report(failures, cases)
+                yield (lam, mu), any(kronecker(lam, mu, nu) > 0 for nu in partitions_of(n, cap))
 
 
-def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> Cases:
     """f * s*_mu(lam) / (n falling k) = sum_nu c f_nu = skew count, exactly."""
-    failures = cases = 0
     for n in range(1, 8):
         for lam in partitions_of(n):
             d = max(rows(lam), 1)
@@ -151,135 +167,108 @@ def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> dict:
                 for mu in partitions_of(k):
                     if not contains(mu, lam):
                         continue
-                    cases += 1
                     via_skew = skew_standard_count(lam, mu)
                     via_lr = branching_sum_lr(lam, mu, n)
                     shifted = shifted_schur_eval(mu, lam, max(d, rows(mu)))
                     via_shifted = Fraction(dim_sym(lam)) * shifted / falling_factorial(n, k)
-                    if not (via_skew == via_lr == via_shifted):
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, mu), via_skew == via_lr == via_shifted
 
 
-def check_inner_sum_vanishing(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_inner_sum_vanishing(*, seed: int, size_cap: int | None) -> Cases:
     """Outside containment the shifted Schur value and the sums vanish."""
-    failures = cases = 0
     for n in range(1, 7):
         for lam in partitions_of(n):
             for k in range(n + 1):
                 for mu in partitions_of(k):
                     if contains(mu, lam):
                         continue
-                    cases += 1
                     d = max(rows(lam), rows(mu))
-                    if shifted_schur_eval(mu, lam, d) != 0 or branching_sum_lr(lam, mu, n) != 0:
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, mu), (shifted_schur_eval(mu, lam, d) == 0
+                                      and branching_sum_lr(lam, mu, n) == 0)
 
 
-def check_inner_sum_kron(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_inner_sum_kron(*, seed: int, size_cap: int | None) -> Cases:
     """n! * sum_nu g e^q_nu = value of the character polynomial at q."""
-    failures = cases = 0
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
                 poly = character_polynomial(lam, mu)
                 for q in range(1, 7):
-                    cases += 1
-                    if factorial(n) * branching_sum_kron(lam, mu, q) != poly(q):
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, mu, q), factorial(n) * branching_sum_kron(lam, mu, q) == poly(q)
 
 
-def check_chi_poly_symmetries(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_chi_poly_symmetries(*, seed: int, size_cap: int | None) -> Cases:
     """Symmetry in the pair, conjugate-pair equality, sign rule under one
     conjugation, and orthogonality at q=1."""
-    failures = cases = 0
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
-                cases += 1
                 a = character_polynomial(lam, mu)
                 ok = a == character_polynomial(mu, lam)
                 ok = ok and a == character_polynomial(conjugate(lam), conjugate(mu))
                 b = character_polynomial(conjugate(lam), mu)
-                ok = ok and all(
-                    b(q) == (-1) ** n * a(-q) for q in range(-n, n + 1)
-                )
+                ok = ok and all(b(q) == (-1) ** n * a(-q) for q in range(-n, n + 1))
                 ok = ok and a(1) == (factorial(n) if lam == mu else 0)
                 ok = ok and (not a.coeffs or a.coeffs[0] == 0)
-                if not ok:
-                    failures += 1
-    return _report(failures, cases)
+                yield (lam, mu), ok
 
 
-def check_root_structure(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_root_structure(*, seed: int, size_cap: int | None) -> Cases:
     """Contiguous integer roots around 0, the row bound on q+, and q+ = 1
     exactly on the diagonal.  root_range raises if structure is broken."""
-    failures = cases = 0
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
             for mu in parts:
-                cases += 1
                 try:
                     rr = root_range(lam, mu)
                 except Exception:
-                    failures += 1
+                    yield (lam, mu), False
                     continue
                 ok = 0 in rr.roots or (rr.q_plus == 1 and lam == mu)
                 ok = ok and rr.roots == list(range(rr.q_minus + 1, rr.q_plus))
                 ok = ok and rr.q_plus <= max(len(lam), len(mu))
                 ok = ok and ((rr.q_plus == 1) == (lam == mu))
-                if not ok:
-                    failures += 1
-    return _report(failures, cases)
+                yield (lam, mu), ok
 
 
-def check_trace_states(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_trace_states(*, seed: int, size_cap: int | None) -> Cases:
     """Both trace maps return genuine states: non-negative weights, sum 1."""
-    failures = cases = 0
     for n in range(1, 6):
         for d in range(1, 5):
             for lam in partitions_of(n, d):
                 for k in range(1, n + 1):
-                    cases += 1
-                    if not trace_out_sym(lam, k, d).is_state():
-                        failures += 1
+                    yield ("sym", lam, k, d), trace_out_sym(lam, k, d).is_state()
         for p in range(1, 5):
             for q in range(1, 5):
                 for lam in partitions_of(n, p * q):
-                    cases += 1
-                    if not dual_trace(lam, p, q).is_state():
-                        failures += 1
-    return _report(failures, cases)
+                    yield ("dual", lam, p, q), dual_trace(lam, p, q).is_state()
 
 
-def check_cycle_sum(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_cycle_sum(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 5):
         for p in (2, 3):
             for q in (2, 3):
                 for lam in partitions_of(n, p * q):
-                    cases += 1
                     coeffs = cycle_sum_expansion(lam, p, q)
-                    if recombine_cycle_sum(coeffs, p) != dual_trace(lam, p, q):
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, p, q), recombine_cycle_sum(coeffs, p) == dual_trace(lam, p, q)
 
 
-def check_dual_twirl_trace(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_dual_twirl_trace(*, seed: int, size_cap: int | None) -> Cases:
     for n in range(1, 7):
         for d in range(1, 6):
             for alpha in partitions_of(n):
-                cases += 1
                 w = dual_twirl_cycle(alpha, d)
-                if w.total() != Fraction(d ** rows(alpha), d**n):
-                    failures += 1
-    return _report(failures, cases)
+                yield (alpha, d), w.total() == Fraction(d ** rows(alpha), d**n)
 
 
 def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -288,48 +277,38 @@ def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     return tuple(sorted((x / total for x in raw), reverse=True))
 
 
-def check_twirl_sum(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_twirl_sum(*, seed: int, size_cap: int | None) -> Cases:
     """Twirled powers are states; pure and fully mixed specializations."""
     rng = random.Random(seed)
-    failures = cases = 0
     for d in (2, 3):
         for k in (1, 2, 3):
             for _ in range(4):
-                cases += 1
-                if not twirl_power(_random_spectrum(rng, d), k).is_state():
-                    failures += 1
-            cases += 1
+                r = _random_spectrum(rng, d)
+                yield (_spectrum(r), k), twirl_power(r, k).is_state()
             pure = twirl_power((1,) + (0,) * (d - 1), k)
-            if pure.weight((k,)) != 1:
-                failures += 1
-            cases += 1
+            yield ("pure", d, k), pure.weight((k,)) == 1
             flat = twirl_power((Fraction(1, d),) * d, k)
-            if flat != fully_mixed(k, d):
-                failures += 1
-    return _report(failures, cases)
+            yield ("fully mixed", d, k), flat == fully_mixed(k, d)
 
 
-def check_schur_two_paths(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_schur_two_paths(*, seed: int, size_cap: int | None) -> Cases:
     rng = random.Random(seed)
-    failures = cases = 0
     shapes = [mu for k in range(1, 5) for mu in partitions_of(k)]
     for d in (2, 3, 4):
         for _ in range(3):
             r = _random_spectrum(rng, d)
             for mu in shapes:
-                cases += 1
-                if schur_eval(mu, r) != schur_eval_tableau(mu, list(r)):
-                    failures += 1
-    return _report(failures, cases)
+                yield (mu, _spectrum(r)), schur_eval(mu, r) == schur_eval_tableau(mu, list(r))
 
 
-def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> Cases:
     """Scaled diagrams: the normalized shifted value approaches the Schur
     value monotonically at an O(1/m) rate (ratio within a factor 2 of 10
     per decade of m)."""
-    failures = cases = 0
     for mu, lam in (((2,), (2, 1)), ((1, 1), (2, 1)), ((2, 1), (3, 2, 1))):
-        cases += 1
         n, k = sum(lam), sum(mu)
         d = len(lam)
         target = schur_eval(mu, normalized(lam))
@@ -340,92 +319,73 @@ def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> dict:
             deltas.append(abs(val - target))
         ok = deltas[0] > deltas[1] > deltas[2]
         ok = ok and Fraction(5) <= deltas[1] / deltas[2] <= Fraction(20)
-        if not ok:
-            failures += 1
-    return _report(failures, cases)
+        yield (mu, lam), ok
 
 
-def check_dual_definetti_weights(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_dual_definetti_weights(*, seed: int, size_cap: int | None) -> Cases:
     """Distance from the traced state to fully mixed obeys the exact bound,
     strictly for n >= 2 (at n = 1 both sides are 0), for every diagram in
     range.  Pure rational comparison, no tolerance."""
-    failures = cases = 0
     for n in range(1, 5):
         for p in range(1, 4):
             for q in range(n, 7):
                 mixed = fully_mixed(n, p)
                 bound = definetti_bound_dual(n, q)
                 for lam in partitions_of(n, p * q):
-                    cases += 1
                     dist = trace_distance(dual_trace(lam, p, q), mixed)
-                    if dist > bound or (dist == bound and n > 1):
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, p, q), dist < bound or (dist == bound and n == 1)
 
 
-def check_dual_definetti_asymptote(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_dual_definetti_asymptote(*, seed: int, size_cap: int | None) -> Cases:
     """For large q the exact bound is within 1% of 2n(n-1)/q."""
-    failures = cases = 0
     for n in (2, 3):
-        cases += 1
         q = 1000
         exact = definetti_bound_dual(n, q)
         lead = Fraction(2 * n * (n - 1), q)
-        if abs(exact - lead) > lead / 100:
-            failures += 1
-    return _report(failures, cases)
+        yield (n, q), abs(exact - lead) <= lead / 100
 
 
-def check_sym_definetti_regime(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_sym_definetti_regime(*, seed: int, size_cap: int | None) -> Cases:
     """Subsystem-trace distance to the twirled power state obeys the leading
     bound in the regime lam_min >= 20 k^2 where that term dominates."""
-    failures = cases = 0
     for k, lam in ((2, (160, 80)), (3, (360, 180)), (2, (120, 100, 80))):
-        cases += 1
         d = len(lam)
         dist = trace_distance(trace_out_sym(lam, k, d), twirl_power(normalized(lam), k))
-        if dist > definetti_bound_sym(k, lam[-1]):
-            failures += 1
-    return _report(failures, cases)
+        yield (lam, k), dist <= definetti_bound_sym(k, lam[-1])
 
 
-def check_bound_edges(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
-    cases += 1
-    if definetti_bound_dual(1, 7) != 0 or definetti_bound_dual(2, 2) != Fraction(3, 2):
-        failures += 1
-    cases += 1
-    if definetti_bound_sym(1, 5) != 0:
-        failures += 1
-    cases += 1
+@_tallied
+def check_bound_edges(*, seed: int, size_cap: int | None) -> Cases:
+    yield "dual(1, 7) = 0, dual(2, 2) = 3/2", (definetti_bound_dual(1, 7) == 0
+                                               and definetti_bound_dual(2, 2) == Fraction(3, 2))
+    yield "sym(1, 5) = 0", definetti_bound_sym(1, 5) == 0
     try:
         definetti_bound_dual(3, 2)
-        failures += 1
+        raised = False
     except ValueError:
-        pass
-    return _report(failures, cases)
+        raised = True
+    yield "dual(3, 2) raises", raised
 
 
 # --- oracle suite ----------------------------------------------------------
 
 
-def check_perm_traces(*, seed: int, size_cap: int | None) -> dict:
-    failures = cases = 0
+@_tallied
+def check_perm_traces(*, seed: int, size_cap: int | None) -> Cases:
     for n in (2, 3):
         for d in (2, 3):
             for pi in permutations(range(n)):
-                cases += 1
                 op = oracle.permutation_operator(pi, d, size_cap=size_cap)
-                if op.trace() != d ** rows(oracle.cycle_type(pi)):
-                    failures += 1
-    return _report(failures, cases)
+                yield (pi, d), op.trace() == d ** rows(oracle.cycle_type(pi))
 
 
-def check_sw_families(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_sw_families(*, seed: int, size_cap: int | None) -> Cases:
     """Orthogonality, completeness and traces of the duality projectors."""
-    failures = cases = 0
     for d, n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (6, 2), (4, 3)):
-        cases += 1
         parts = partitions_of(n, d)
         ps = {lam: oracle.schur_weyl_projector(lam, d, size_cap=size_cap) for lam in parts}
         total = oracle.identity_operator(n, d, size_cap=size_cap) * 0
@@ -439,39 +399,33 @@ def check_sw_families(*, seed: int, size_cap: int | None) -> dict:
             for b in parts:
                 if a != b:
                     ok = ok and (ps[a] @ ps[b]).is_zero()
-        if not ok:
-            failures += 1
-    return _report(failures, cases)
+        yield (n, d), ok
 
 
-def check_trace_formula_oracle(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_trace_formula_oracle(*, seed: int, size_cap: int | None) -> Cases:
     """Dense partial trace of each block state is a state and equals the
     weight formula."""
-    failures = cases = 0
     for d in range(2, 4):
         for n in range(2, 5):
             for lam in partitions_of(n, d):
                 ef = dim_unitary(lam, d) * dim_sym(lam)
                 rho = oracle.schur_weyl_projector(lam, d, size_cap=size_cap) * Fraction(1, ef)
                 for k in range(1, n + 1):
-                    cases += 1
                     red = oracle.partial_trace_subsystems(rho, k)
                     wts = oracle.schur_weyl_weights(red, size_cap=size_cap)
                     expect = trace_out_sym(lam, k, d)
                     ok = red.trace() == 1 and wts == dict(expect.weights)
                     ok = ok and oracle.werner_combination(expect, size_cap=size_cap).same_as(red)
-                    if not ok:
-                        failures += 1
-    return _report(failures, cases)
+                    yield (lam, k, d), ok
 
 
-def check_dual_trace_oracle(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_dual_trace_oracle(*, seed: int, size_cap: int | None) -> Cases:
     """Dense inner partial trace equals the dual weight formula, both for the
     full block state and for a single-irrep copy."""
-    failures = cases = 0
     for p, q, n in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
         for lam in partitions_of(n, p * q):
-            cases += 1
             expect = dict(dual_trace(lam, p, q).weights)
             ef = dim_unitary(lam, p * q) * dim_sym(lam)
             rho = oracle.schur_weyl_projector(lam, p * q, size_cap=size_cap) * Fraction(1, ef)
@@ -487,74 +441,58 @@ def check_dual_trace_oracle(*, seed: int, size_cap: int | None) -> dict:
             single.bipartite = (p, q)
             red2 = oracle.partial_trace_inner(single, p, q)
             ok = ok and oracle.schur_weyl_weights(red2, size_cap=size_cap) == expect
-            if not ok:
-                failures += 1
-    return _report(failures, cases)
+            yield (lam, p, q), ok
 
 
-def check_dual_twirl_oracle(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_dual_twirl_oracle(*, seed: int, size_cap: int | None) -> Cases:
     """Averaged permutation operators expand with the predicted coefficients,
     including the (2,1) at d=3 value (10/27, 0, -1/27)."""
-    failures = cases = 0
     for d in (2, 3):
         for pi in permutations(range(3)):
-            cases += 1
             op = oracle.permutation_operator(pi, d, size_cap=size_cap) * Fraction(1, d**3)
             sym = oracle.symmetric_average(op)
             wts = oracle.schur_weyl_weights(sym, size_cap=size_cap)
-            if wts != dict(dual_twirl_cycle(oracle.cycle_type(pi), d).weights):
-                failures += 1
-    cases += 1
+            yield (pi, d), wts == dict(dual_twirl_cycle(oracle.cycle_type(pi), d).weights)
     special = dict(dual_twirl_cycle((2, 1), 3).weights)
-    if special != {(3,): Fraction(10, 27), (2, 1): Fraction(0), (1, 1, 1): Fraction(-1, 27)}:
-        failures += 1
-    return _report(failures, cases)
+    yield ("published", (2, 1), 3), special == {
+        (3,): Fraction(10, 27), (2, 1): Fraction(0), (1, 1, 1): Fraction(-1, 27)}
 
 
-def check_young_projectors(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_young_projectors(*, seed: int, size_cap: int | None) -> Cases:
     """Idempotence, symmetry, trace (= rank = unitary dimension), the
     symmetric-subspace and antisymmetrizer specializations, and the
     permutation average collapsing to the block projector."""
-    failures = cases = 0
     for n in (2, 3):
         for shape in partitions_of(n):
             for t in oracle.standard_tableaux(shape):
                 for d in (2, 3):
-                    cases += 1
                     yp = oracle.young_projector(t, d, size_cap=size_cap)
                     ok = yp.is_symmetric() and (yp @ yp).same_as(yp)
                     ok = ok and yp.trace() == dim_unitary(shape, d)
-                    if not ok:
-                        failures += 1
-    cases += 1
+                    yield (t, d), ok
     row = oracle.first_standard_tableau((3,))
-    if not oracle.young_projector(row, 2, size_cap=size_cap).same_as(
-        oracle.schur_weyl_projector((3,), 2, size_cap=size_cap)
-    ):
-        failures += 1
-    cases += 1
+    yield ("row is the symmetric projector", row, 2), oracle.young_projector(
+        row, 2, size_cap=size_cap
+    ).same_as(oracle.schur_weyl_projector((3,), 2, size_cap=size_cap))
     col = tuple((k,) for k in (1, 2, 3))
     anti = oracle.young_projector(col, 3, size_cap=size_cap)
-    if anti.trace() != 1:  # binom(3, 3)
-        failures += 1
-    cases += 1
+    yield ("column has rank 1", col, 3), anti.trace() == 1  # binom(3, 3)
     t21 = oracle.first_standard_tableau((2, 1))
     avg = oracle.symmetric_average(oracle.young_projector(t21, 2, size_cap=size_cap))
     want = oracle.schur_weyl_projector((2, 1), 2, size_cap=size_cap) * Fraction(1, dim_sym((2, 1)))
-    if not avg.same_as(want):
-        failures += 1
-    return _report(failures, cases)
+    yield ("average is the block state", t21, 2), avg.same_as(want)
 
 
-def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> Cases:
     """For diagonal states the dense block projections of sigma^(x k) match
     the twirled-power weights exactly."""
     rng = random.Random(seed)
-    failures = cases = 0
     d = 2
     for k in (2, 3):
         for _ in range(3):
-            cases += 1
             r = _random_spectrum(rng, d)
             den = 1
             for x in r:
@@ -570,77 +508,55 @@ def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> dict:
                 mat[idx, idx] = val
             power = oracle.DenseOperator(mat, Fraction(1, den**k), k, d)
             wts = oracle.schur_weyl_weights(power, size_cap=size_cap)
-            if wts != dict(twirl_power(r, k).weights):
-                failures += 1
-    return _report(failures, cases)
+            yield (_spectrum(r), k), wts == dict(twirl_power(r, k).weights)
 
 
-def check_general_dual_oracle(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_general_dual_oracle(*, seed: int, size_cap: int | None) -> Cases:
     """Single-irrep states of shape (2,1): bound, remainder positivity and
     monotone approach to fully mixed over the q sweep."""
-    failures = cases = 0
     t21 = oracle.first_standard_tableau((2, 1))
     deltas = []
     for q in range(3, 7):
-        cases += 1
         rep = oracle.verify_general_dual(t21, 2, q, size_cap=size_cap)
         deltas.append(rep["delta"])
-        if not rep["pass"]:
-            failures += 1
-    cases += 1
-    if not all(a > b for a, b in zip(deltas, deltas[1:])):
-        failures += 1
-    cases += 1
-    rep = oracle.verify_general_dual(oracle.first_standard_tableau((2,)), 2, 3,
-                                     size_cap=size_cap)
-    if not rep["pass"]:
-        failures += 1
-    return _report(failures, cases)
+        yield (t21, 2, q), rep["pass"]
+    yield ("distance falls as q grows", t21, 2), all(a > b for a, b in zip(deltas, deltas[1:]))
+    t2 = oracle.first_standard_tableau((2,))
+    yield (t2, 2, 3), oracle.verify_general_dual(t2, 2, 3, size_cap=size_cap)["pass"]
 
 
-def check_trace_norm_paths(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_trace_norm_paths(*, seed: int, size_cap: int | None) -> Cases:
     """Float trace norm agrees with the exact weight-difference norm for
     operators diagonal in the duality basis."""
-    failures = cases = 0
     for lam in partitions_of(2, 4):
-        cases += 1
         red = oracle.werner_combination(dual_trace(lam, 2, 2), size_cap=size_cap)
         mixed = oracle.werner_combination(fully_mixed(2, 2), size_cap=size_cap)
         exact = trace_distance(dual_trace(lam, 2, 2), fully_mixed(2, 2))
-        if abs(oracle.trace_norm(red - mixed) - float(exact)) > 1e-9:
-            failures += 1
-    cases += 1
+        yield (lam, 2, 2), abs(oracle.trace_norm(red - mixed) - float(exact)) <= 1e-9
     proj = oracle.schur_weyl_projector((2,), 2, size_cap=size_cap)
-    if abs(oracle.trace_norm(proj) - float(proj.trace())) > 1e-9:
-        failures += 1
-    return _report(failures, cases)
+    yield ("projector", (2,), 2), abs(oracle.trace_norm(proj) - float(proj.trace())) <= 1e-9
 
 
-def check_partial_trace_rules(*, seed: int, size_cap: int | None) -> dict:
+@_tallied
+def check_partial_trace_rules(*, seed: int, size_cap: int | None) -> Cases:
     """Product states reduce factor-wise and traces are preserved."""
-    failures = cases = 0
     a = np.empty((2, 2), dtype=object)
     a[:] = [[2, 1], [1, 3]]
     b = np.empty((2, 2), dtype=object)
     b[:] = [[1, 1], [1, 5]]
     ab = oracle.DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object),
                               Fraction(1, 7), 2, 2)
-    cases += 1
     red = oracle.partial_trace_subsystems(ab, 1)
     want = oracle.DenseOperator(a * 6, Fraction(1, 7), 1, 2)  # trace(b) = 6
-    if not red.same_as(want) or red.trace() != ab.trace():
-        failures += 1
-    cases += 1
+    yield "keep 1 of 2", red.same_as(want) and red.trace() == ab.trace()
     ab4 = oracle.DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object),
                                Fraction(1, 7), 1, 4, bipartite=(2, 2))
     inner = oracle.partial_trace_inner(ab4)
-    if not inner.same_as(want) or inner.trace() != ab4.trace():
-        failures += 1
-    cases += 1
+    yield "inner trace", inner.same_as(want) and inner.trace() == ab4.trace()
     full = oracle.partial_trace_subsystems(ab, 2)
-    if not full.same_as(ab):
-        failures += 1
-    return _report(failures, cases)
+    yield "keep 2 of 2", full.same_as(ab)
 
 
 # report name -> check, in run order

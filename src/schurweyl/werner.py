@@ -113,14 +113,6 @@ class WernerWeights:
             )
         return {"n": self.n, "d": self.d, "weights": entries}
 
-    @staticmethod
-    def from_json(data: dict) -> "WernerWeights":
-        weights = {
-            as_partition(e["partition"]): Fraction(e["num"], e["den"])
-            for e in data["weights"]
-        }
-        return WernerWeights(int(data["n"]), int(data["d"]), weights)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WernerWeights):
             return NotImplemented

@@ -10,7 +10,6 @@ from schurweyl.characters import (
     dim_unitary,
     dim_unitary_charsum,
     mn_character,
-    schur_weyl_trace_identity,
 )
 from schurweyl.partitions import partitions_of, rows
 from schurweyl.werner import character_polynomial
@@ -69,12 +68,6 @@ def test_dim_unitary_two_paths_agree():
         for lam in partitions_of(n):
             for d in range(1, 7):
                 assert dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
-
-
-def test_schur_weyl_trace_identity():
-    for n in range(1, 7):
-        for d in range(1, 6):
-            assert schur_weyl_trace_identity(n, d)
 
 
 def test_character_table_orthogonality_small(check_passes):

@@ -7,7 +7,7 @@ import pytest
 
 from schurweyl import characters
 from schurweyl.cli import RunConfig, load_config, main
-from schurweyl.werner import IntPolynomial, WernerWeights
+from schurweyl.werner import IntPolynomial
 
 GOLDEN = Path(__file__).parent / "data" / "table5_golden.txt"
 
@@ -16,6 +16,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def printed_weights(out):
+    return {tuple(e["partition"]): (e["num"], e["den"]) for e in json.loads(out)["weights"]}
 
 
 def test_table5_is_deterministic(capsys):
@@ -64,16 +68,14 @@ def test_lr_and_kron(capsys):
 
 def test_trace_commands(capsys):
     code, out = run_cli(capsys, "--format", "json", "trace", "[2]", "--dual", "2", "3")
-    w = WernerWeights.from_json(json.loads(out))
-    assert w.weight((2,)).numerator == 6 and w.weight((2,)).denominator == 7
+    assert printed_weights(out)[(2,)] == (6, 7)
     code, out = run_cli(capsys, "trace", "[2,1]", "--sym", "2", "2")
     assert "[2]: 1/2" in out and "sum: 1/1" in out
 
 
 def test_twirl_and_dual_twirl(capsys):
     code, out = run_cli(capsys, "--format", "json", "twirl", '["2/3","1/3"]', "2")
-    w = WernerWeights.from_json(json.loads(out))
-    assert w.weight((2,)).numerator == 7 and w.weight((2,)).denominator == 9
+    assert printed_weights(out)[(2,)] == (7, 9)
     code, out = run_cli(capsys, "dual-twirl", "[2,1]", "3")
     assert "-1/27" in out and code == 0
 
@@ -153,6 +155,14 @@ def test_size_cap_exit_code(capsys):
     assert main(["--size-cap", "64", "verify", "oracle"]) == 3  # checks need 81
 
 
+def test_deep_inputs_hit_a_resource_limit(capsys):
+    # the LR filling recurses once per cell, the MN rule once per part
+    for argv in (["lr", "[1200]", "[100]", "[1100]"], ["dual-twirl", json.dumps([1] * 1000), "2"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code = main(["--out", str(target), "chi-poly", "[2]", "[2]"])
@@ -194,7 +204,10 @@ def test_verify_detects_poisoned_character(capsys):
         code, out = run_cli(capsys, "verify", "formulas")
         assert code == 1
         report = json.loads(out)
-        failed = [c["check"] for c in report["checks"] if not c["pass"]]
+        failed = {c["check"]: c for c in report["checks"] if not c["pass"]}
         assert "character-orthogonality" in failed
+        # n = 3 is the first table that reads the poisoned entry
+        assert failed["character-orthogonality"]["failures"] >= 1
+        assert failed["character-orthogonality"]["counterexample"] == 3
     finally:
         characters.clear_character_cache()

@@ -313,7 +313,7 @@ def test_verify_general_dual_report():
 def test_operator_arithmetic_sanity():
     ident = identity_operator(2, 2)
     twice = ident + ident
-    assert twice.entry(0, 0) == 2
+    assert twice.same_as(ident * 2)
     assert (twice * Fraction(1, 2)).same_as(ident)
     swap = permutation_operator((1, 0), 2)
     assert not swap.same_as(ident)

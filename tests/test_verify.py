@@ -1,3 +1,4 @@
+import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,6 +17,19 @@ def test_report_names_are_unique():
 @pytest.mark.parametrize("name", NAMES)
 def test_registered_check_passes(name, check_passes):
     check_passes(name)
+
+
+def test_registered_checks_yield_json_cases(check_passes, check_cases):
+    # a counterexample is reported as data, so every case must serialise
+    rejected = {}
+    for name in NAMES:
+        check_passes(name)
+        for case in check_cases[name]:
+            try:
+                json.dumps(case)
+            except (TypeError, ValueError):
+                rejected.setdefault(name, repr(case))
+    assert not rejected
 
 
 def test_suite_rejects_unknown_name():
@@ -50,12 +64,14 @@ def test_every_check_call_goes_through_a_rebindable_binding(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import tracing
 
-    calls = []
+    # each call must also do the check's work and return its counted report:
+    # a check that hands back a generator would be timed before it ran
+    results = []
 
     def counting(fn):
         def counted(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+            results.append(fn(*args, **kwargs))
+            return results[-1]
         return counted
 
     wrapped = {id(fn): (fn, counting(fn)) for name, fn in vars(verify).items()
@@ -65,7 +81,9 @@ def test_every_check_call_goes_through_a_rebindable_binding(monkeypatch):
         reports = verify.run_suite("bounds")
     finally:
         tracing.rebind([verify], {id(new): (new, old) for old, new in wrapped.values()})
-    assert len(calls) == len(reports) == len(verify.BOUNDS)
+    assert len(results) == len(reports) == len(verify.BOUNDS)
+    for result in results:
+        assert isinstance(result, dict) and {"pass", "cases", "failures"} <= set(result)
     assert verify.BOUNDS["bound-edge-cases"] is verify.check_bound_edges  # restored
 
 

@@ -45,7 +45,6 @@ from .werner import (
     dual_twirl_cycle,
     fully_mixed,
     horn_witness,
-    marginal_feasible,
     recombine_cycle_sum,
     root_range,
     trace_distance,
@@ -108,7 +107,6 @@ __all__ = [
     "kronecker",
     "littlewood_richardson",
     "littlewood_richardson_char",
-    "marginal_feasible",
     "mn_character",
     "partial_trace_inner",
     "partial_trace_subsystems",

@@ -8,13 +8,15 @@ so that one can cross-validate the other:
   induced-character inner product over S_k x S_{n-k} (secondary).
 * g_{lambda mu nu}: class-weighted triple character sum; validated against
   its permutation symmetries and the dense tensor oracle elsewhere.
-* f^{lambda/mu}: Aitken's determinant (primary) and the brute-force chain
-  count partitions.skew_standard_count (oracle).
+* f^{lambda/mu}: Aitken's determinant and the brute-force chain count
+  partitions.skew_standard_count.  No production path consumes dim_skew:
+  the subsystem trace goes through shifted Schur values, and dim_skew is
+  kept as the independent oracle that reaches diagrams of thousands of
+  boxes, where the chain count and the LR sum cannot.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 
 from .characters import dim_sym, dim_unitary, mn_character
@@ -149,8 +151,10 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     A diagram with more rows than columns is conjugated first, which
     leaves the count unchanged and keeps the matrix side at most
     sqrt(|lam|).  Exact for diagrams with thousands of boxes; 0 unless
-    inner fits inside outer.  partitions.skew_standard_count is the
-    independent brute-force oracle for this count.
+    inner fits inside outer.  Kept as the deliberately independent oracle
+    for werner.trace_out_sym, which takes the same counts from shifted
+    Schur values (the tests and perfbench compare the two);
+    partitions.skew_standard_count is in turn its brute-force oracle.
     """
     if not contains(inner, outer):
         return 0
@@ -160,8 +164,8 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     size = len(outer)
     a = [outer[i] - i + size - 1 for i in range(size)]
     b = [(inner[j] if j < len(inner) else 0) - j + size - 1 for j in range(size)]
-    det = _det([[Fraction(falling_factorial(ai, bj)) for bj in b] for ai in a])
-    value = factorial(sum(outer) - sum(inner)) * Fraction(det) / prod(factorial(ai) for ai in a)
-    if value.denominator != 1 or value < 1:
+    det = _det([[falling_factorial(ai, bj) for bj in b] for ai in a])
+    value, rem = divmod(factorial(sum(outer) - sum(inner)) * det, prod(factorial(ai) for ai in a))
+    if rem or value < 1:
         raise ConsistencyError(f"Aitken determinant for {outer}/{inner} is not a positive integer")
-    return value.numerator
+    return value

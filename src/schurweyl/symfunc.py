@@ -1,21 +1,22 @@
 """Schur polynomials at a spectrum and shifted Schur functions at a partition.
 
-Ordinary Schur values use the bialternant ratio of determinants when the
-spectrum entries are pairwise distinct (exact for rational input) and fall
-back to the semistandard-tableau monomial sum when entries repeat, which
-avoids 0/0 without perturbation tricks.  The tableau sum doubles as the
+Every value is one integer determinant, taken by fraction-free Bareiss
+elimination.  Ordinary Schur values use Jacobi-Trudi, det[h_{mu_i - i + j}],
+on the spectrum scaled to integers, so repeated and zero entries need no
+special case.  The semistandard-tableau monomial sum is kept only as the
 independent oracle for small shapes.
 
 Shifted Schur values use the ratio of factorial determinants
-det[(lam_i + d - i) falling (mu_j + d - j)] / det[(lam_i + d - i) falling (d - j)],
-all in exact integer arithmetic.  The normalization is pinned by the exact
-identity f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test
-suite enforces rather than assumes.
+det[(lam_i + d - i) falling (mu_j + d - j)] / det[(lam_i + d - i) falling (d - j)].
+The normalization is pinned by the exact identity
+f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test suite
+enforces rather than assumes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .partitions import Partition, rows
@@ -33,29 +34,28 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
-def _det(m: list[list]) -> object:
-    """Determinant by Gaussian elimination with max-|pivot| pivoting.
-
-    Works over any field the entries live in (Fraction or float here).
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination (Math. Comp.
+    22, 1968): every division is exact, so entries stay integers.  Rows are
+    swapped only when a pivot is zero; the 0 x 0 determinant is 1.
     """
-    a = [row[:] for row in m]
+    a = [list(row) for row in m]
     size = len(a)
-    det = 1
+    sign, prev = 1, 1
     for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            return 0 * det
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_rows = a[col]
-        for r in range(col + 1, size):
-            factor = a[r][col] / inv_rows[col]
-            if factor == 0:
-                continue
-            a[r] = [x - factor * y for x, y in zip(a[r], inv_rows)]
-    return det
+        if a[col][col] == 0:
+            swap = next((r for r in range(col + 1, size) if a[r][col]), None)
+            if swap is None:
+                return 0
+            a[col], a[swap] = a[swap], a[col]
+            sign = -sign
+        top = a[col]
+        for row in a[col + 1:]:
+            lead = row[col]
+            for c in range(col + 1, size):
+                row[c] = (row[c] * top[col] - lead * top[c]) // prev
+        prev = top[col]
+    return sign * prev
 
 
 def semistandard_tableaux(shape: Partition, d: int) -> Iterator[tuple[int, ...]]:
@@ -102,24 +102,24 @@ def schur_eval_tableau(mu: Partition, r: Spectrum):
     return total
 
 
-def schur_eval(mu: Partition, r: Spectrum):
-    """Schur polynomial s_mu evaluated at the spectrum r.
+def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
+    """Schur polynomial s_mu evaluated at the spectrum r, exact.
 
-    Zero when mu has more rows than r has entries.  Distinct entries take
-    the bialternant route; repeated entries take the tableau sum.
+    Jacobi-Trudi on integers: with D the lcm of the entries' denominators,
+    s_mu(r) = det[h_{mu_i - i + j}(D r)] / D^|mu|, where the complete
+    homogeneous values h_k come from h_k += x h_{k-1}, one entry x at a
+    time.  Zero when mu has more rows than r has entries.
     """
-    d = len(r)
-    if rows(mu) > d:
-        return 0
-    if d == 0:
-        return 1  # empty shape on the empty alphabet
-    vals = [Fraction(x) if isinstance(x, int) else x for x in r]
-    if len(set(vals)) != d:
-        return schur_eval_tableau(mu, vals)
-    padded = list(mu) + [0] * (d - len(mu))
-    num = _det([[vals[i] ** (padded[j] + d - 1 - j) for j in range(d)] for i in range(d)])
-    den = _det([[vals[i] ** (d - 1 - j) for j in range(d)] for i in range(d)])
-    return num / den
+    vals = [Fraction(x) for x in r]
+    scale = lcm(*(v.denominator for v in vals))
+    size = len(mu)
+    h = [1] + [0] * (mu[0] + size - 1 if size else 0)
+    for v in vals:
+        x = v.numerator * (scale // v.denominator)
+        for k in range(1, len(h)):
+            h[k] += x * h[k - 1]
+    jt = [[h[p] if (p := mu[i] - i + j) >= 0 else 0 for j in range(size)] for i in range(size)]
+    return Fraction(_det(jt), scale ** sum(mu))
 
 
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
@@ -130,10 +130,8 @@ def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """
     if d < rows(mu) or d < rows(lam):
         raise ValueError("d must cover the rows of both diagrams")
-    if d == 0:
-        return Fraction(1)
     a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
     m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
-    num = _det([[Fraction(falling_factorial(a[i], m[j])) for j in range(d)] for i in range(d)])
-    den = _det([[Fraction(falling_factorial(a[i], d - 1 - j)) for j in range(d)] for i in range(d)])
-    return Fraction(num, den) if isinstance(num, int) else num / den
+    num = _det([[falling_factorial(ai, mj) for mj in m] for ai in a])
+    den = _det([[falling_factorial(ai, d - 1 - j) for j in range(d)] for ai in a])
+    return Fraction(num, den)

@@ -17,7 +17,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .characters import dim_sym, dim_unitary, mn_character
-from .coefficients import dim_skew
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
@@ -28,7 +27,7 @@ from .partitions import (
     partitions_of,
     rows,
 )
-from .symfunc import Spectrum, schur_eval
+from .symfunc import Spectrum, falling_factorial, schur_eval, shifted_schur_eval
 
 
 class IntPolynomial:
@@ -202,25 +201,17 @@ def root_range(lam: Partition, mu: Partition) -> RootRange:
     return RootRange(q_minus, q_plus, list(range(q_minus + 1, q_plus)))
 
 
-def marginal_feasible(lam: Partition, mu: Partition, q: int) -> bool:
-    """Sufficient condition for the pair of normalized spectra to be a
-    (joint, single-marginal) pair for some state, with q the dimension
-    traced out per subsystem: positivity of the character polynomial at q.
-    The converse is open; a False here decides nothing.
-    """
-    if q < 1:
-        raise ValueError("q must be positive")
-    return character_polynomial(lam, mu)(q) > 0
-
-
 def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     """Weights of the state left after tracing out n-k of the n subsystems.
 
     a_mu = f_mu * (sum_nu c^lam_{mu nu} f_nu) / f_lam over mu in Par(k, d).
-    The inner sum is evaluated as the skew dimension dim(lam/mu) (Aitken's
-    determinant, coefficients.dim_skew), which it equals whenever lam has
-    at most d rows; the literal coefficient sum is kept as a cross-check in
-    the test suite.
+    The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
+    (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
+    weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
+    no integer of the size of n!.  coefficients.dim_skew (Aitken's
+    determinant) is the independent cross-check in the tests, and the
+    check inner-sum-subsystem ties the shifted form to the literal
+    coefficient sum.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -230,8 +221,8 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
         raise ValueError(f"{lam} has more than {d} rows")
     if not 1 <= k <= n:
         raise ValueError("k must be between 1 and n")
-    f_lam = dim_sym(lam)
-    out = _weights_on(k, d, lambda mu: Fraction(dim_sym(mu) * dim_skew(lam, mu), f_lam))
+    scale = falling_factorial(n, k)
+    out = _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
     if out.total() != 1:
         raise ConsistencyError("weights do not sum to 1")
     return out
@@ -258,21 +249,18 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
 
 
 def twirl_power(r: Spectrum, k: int) -> WernerWeights:
-    """Weights of the unitarily twirled k-th power of a state with spectrum r."""
+    """Weights of the unitarily twirled k-th power of a state with spectrum r.
+
+    Entries are read exactly as Fraction(x) and must sum to exactly 1.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    vals = [Fraction(x) if isinstance(x, int) else x for x in r]
+    vals = sorted((Fraction(x) for x in r), reverse=True)
     if any(v < 0 for v in vals):
         raise ValueError("spectrum entries must be non-negative")
-    total = sum(vals)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise ValueError("spectrum must sum to 1")
-    elif abs(total - 1) > 1e-9:
+    if sum(vals) != 1:
         raise ValueError("spectrum must sum to 1")
-    vals.sort(reverse=True)
-    d = len(vals)
-    return _weights_on(k, d, lambda mu: dim_sym(mu) * schur_eval(mu, vals))
+    return _weights_on(k, len(vals), lambda mu: dim_sym(mu) * schur_eval(mu, vals))
 
 
 def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from schurweyl.characters import dim_sym, dim_unitary
-from schurweyl.coefficients import branching_sum_lr
+from schurweyl.coefficients import branching_sum_lr, dim_skew
 from schurweyl.partitions import conjugate, normalized, partitions_of
 from schurweyl.werner import (
     IntPolynomial,
@@ -18,7 +18,6 @@ from schurweyl.werner import (
     dual_twirl_cycle,
     fully_mixed,
     horn_witness,
-    marginal_feasible,
     polynomial_as_json,
     root_range,
     trace_distance,
@@ -95,14 +94,11 @@ def test_root_range_rejects_empty():
         root_range((), ())
 
 
-def test_marginal_feasible():
+def test_root_range_q_plus_examples():
+    # q_plus(lam, lam) == 1 is test_root_range_diagonal_pairs
     for n in range(2, 6):
-        for lam in partitions_of(n):
-            assert marginal_feasible(lam, lam, 1)
-        assert marginal_feasible((1,) * n, (n,), n)
-        assert not marginal_feasible((1,) * n, (n,), n - 1)
-    assert not marginal_feasible((4, 1), (2, 1, 1, 1), 2)
-    assert marginal_feasible((4, 1), (2, 1, 1, 1), 3)
+        assert root_range((1,) * n, (n,)).q_plus == n
+    assert root_range((4, 1), (2, 1, 1, 1)).q_plus == 3
 
 
 def test_trace_out_sym_examples():
@@ -129,6 +125,15 @@ def test_trace_out_sym_matches_the_coefficient_sum():
                     for mu in partitions_of(k, d):
                         expect = Fraction(dim_sym(mu) * branching_sum_lr(lam, mu, d), f)
                         assert w.weight(mu) == expect
+
+
+def test_trace_out_sym_matches_the_skew_dimension_at_large_sizes():
+    # far beyond the coefficient sum: Aitken's determinant is the oracle here
+    for lam, k, d in (((1200, 900, 600, 300), 6, 4), ((242, 158), 3, 2)):
+        f = dim_sym(lam)
+        w = trace_out_sym(lam, k, d)
+        for mu in partitions_of(k, d):
+            assert w.weight(mu) == Fraction(dim_sym(mu) * dim_skew(lam, mu), f)
 
 
 def test_dual_trace_collapses_for_p_equal_one():
@@ -171,6 +176,11 @@ def test_twirl_power_examples():
     lam_bar = normalized((3, 1))
     w = twirl_power(lam_bar, 2)
     assert w.is_state()
+    halves = twirl_power((0.5, 0.5), 2)
+    assert halves == twirl_power((Fraction(1, 2), Fraction(1, 2)), 2)
+    assert all(type(x) is Fraction for x in halves.weights.values())
+    with pytest.raises(ValueError):
+        twirl_power((0.7, 0.3), 2)  # as binary fractions they miss 1
     with pytest.raises(ValueError):
         twirl_power((Fraction(1, 2), Fraction(1, 4)), 2)
     with pytest.raises(ValueError):

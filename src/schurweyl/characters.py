@@ -130,9 +130,6 @@ class CharacterTable:
         self.n = n
         self.partitions = partitions_of(n)
 
-    def value(self, lam: Partition, alpha: Partition) -> int:
-        return mn_character(lam, alpha)
-
     def row(self, lam: Partition) -> list[int]:
         return [mn_character(lam, alpha) for alpha in self.partitions]
 

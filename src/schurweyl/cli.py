@@ -31,7 +31,6 @@ from .werner import (
     dual_trace,
     dual_twirl_cycle,
     horn_witness,
-    polynomial_as_json,
     root_range,
     trace_out_sym,
     twirl_power,
@@ -112,7 +111,7 @@ def _table5_rows() -> list[dict]:
                 "mu": list(mu),
                 "conjugate_pair": None if hidden else [list(partner[0]), list(partner[1])],
                 "polynomial": str(poly),
-                "coeffs": polynomial_as_json(poly),
+                "coeffs": list(poly.coeffs),
                 "roots": rr.roots,
             }
         )
@@ -148,7 +147,7 @@ def cmd_chi_poly(args, cfg: RunConfig) -> tuple[str, int]:
         data = {
             "lambda": list(lam),
             "mu": list(mu),
-            "coeffs": polynomial_as_json(poly),
+            "coeffs": list(poly.coeffs),
             "roots": rr.roots,
             "q_minus": rr.q_minus,
             "q_plus": rr.q_plus,
@@ -372,8 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             settings.update(load_config(args.config))
         if args.format is not None:
             settings["output_format"] = args.format
-        elif "output_format" not in settings and args.command == "chartable":
-            settings["output_format"] = "csv"
         if args.size_cap is not None:
             settings["size_cap"] = args.size_cap
         if args.seed is not None:

@@ -3,7 +3,8 @@
 Everything the weight calculus asserts algebraically is rebuilt here as a
 literal matrix and re-measured: permutation operators, duality-block
 projectors, single-irrep projectors from standard tableaux, both partial
-traces, the permutation average and the trace norm.
+traces, the permutation average, the duality-block weights and the trace
+norm.
 
 Operators are stored as an integer matrix (numpy object dtype, so entries
 are unbounded Python ints) times one global Fraction.  Every operator this
@@ -20,6 +21,14 @@ arithmetic, never d^n-sided matrix products.  Products of operators (`@`)
 still run through float64 BLAS whenever a magnitude bound proves every
 intermediate integer stays below 2^53 (hence exact), with an object dtype
 fallback otherwise.
+
+Measurements build no operators.  Every index a construction or a
+measurement reads comes from one of two tables over the combined indices
+np.arange(d^n): the permutation index maps enc(pi . x) of `_index_maps`
+(the scatter, the permutation average and the block weights, which are
+permutation traces summed by class), or a (kept x traced) reshaping of
+np.arange(d^n) (both partial traces).  An operator carries only (n, d);
+a bipartite split (p, q) is passed to the inner trace explicitly.
 
 Basis conventions, fixed and relied on by all index bookkeeping:
 * combined indices are base-d numerals with factor 1 as the most
@@ -79,29 +88,19 @@ def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class DenseOperator:
-    """value = scale * mat, on n factors of dimension base each.
+    """value = scale * mat, on n factors of dimension base each."""
 
-    bipartite, when set, records the (p, q) split of each factor.
-    """
-
-    def __init__(self, mat: np.ndarray, scale: Fraction, n: int, base: int,
-                 bipartite: tuple[int, int] | None = None):
+    def __init__(self, mat: np.ndarray, scale: Fraction, n: int, base: int):
         self.mat = mat
         self.scale = Fraction(scale)
         self.n = n
         self.base = base
-        self.bipartite = bipartite
-        if bipartite is not None and bipartite[0] * bipartite[1] != base:
-            raise ValueError("bipartite split does not match the factor dimension")
         if mat.shape != (base**n, base**n):
             raise ValueError("matrix shape does not match the factor metadata")
 
     @property
     def dim(self) -> int:
         return self.base**self.n
-
-    def _meta(self) -> tuple[int, int, tuple[int, int] | None]:
-        return (self.n, self.base, self.bipartite)
 
     def _aligned(self, other: "DenseOperator") -> tuple[np.ndarray, np.ndarray, Fraction]:
         ratio = self.scale / other.scale
@@ -110,10 +109,10 @@ class DenseOperator:
                 other.scale / ratio.denominator)
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self._meta()[:2] != other._meta()[:2]:
+        if (self.n, self.base) != (other.n, other.base):
             raise ValueError("operators live on different spaces")
         a, b, s = self._aligned(other)
-        return DenseOperator(a + b, s, self.n, self.base, self.bipartite or other.bipartite)
+        return DenseOperator(a + b, s, self.n, self.base)
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         return self + (other * -1)
@@ -122,16 +121,16 @@ class DenseOperator:
         c = Fraction(c)
         if c == 0:
             return DenseOperator(np.zeros((self.dim, self.dim), dtype=object),
-                                 Fraction(1), self.n, self.base, self.bipartite)
-        return DenseOperator(self.mat, self.scale * c, self.n, self.base, self.bipartite)
+                                 Fraction(1), self.n, self.base)
+        return DenseOperator(self.mat, self.scale * c, self.n, self.base)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self._meta()[:2] != other._meta()[:2]:
+        if (self.n, self.base) != (other.n, other.base):
             raise ValueError("operators live on different spaces")
         return DenseOperator(_imatmul(self.mat, other.mat), self.scale * other.scale,
-                             self.n, self.base, self.bipartite or other.bipartite)
+                             self.n, self.base)
 
     def trace(self) -> Fraction:
         return self.scale * int(np.trace(self.mat))
@@ -141,7 +140,7 @@ class DenseOperator:
 
     def same_as(self, other: "DenseOperator") -> bool:
         """Exact equality of the underlying rational matrices."""
-        if self._meta()[:2] != other._meta()[:2]:
+        if (self.n, self.base) != (other.n, other.base):
             return False
         a, b, _ = self._aligned(other)
         return bool((a == b).all())
@@ -153,17 +152,21 @@ class DenseOperator:
         return self.mat.astype(np.float64) * float(self.scale)
 
 
-def _digit_weights(base: int, n: int) -> list[int]:
-    return [base ** (n - 1 - i) for i in range(n)]
+def _index_maps(items: Iterable[tuple[tuple[int, ...], object]], d: int,
+                n: int) -> Iterator[tuple[list, np.ndarray]]:
+    """The permutation index maps of (pi, value) items, in batches.
 
-
-def _perm_index_map(perms: np.ndarray, base: int) -> np.ndarray:
-    """enc(pi . x) for every combined index x, one row per permutation pi in
-    perms (an m x n array), where (pi . x)[pi(i)] = x[i]."""
-    n = perms.shape[1]
-    w = np.array(_digit_weights(base, n), dtype=np.int64)
-    digits = (np.arange(base**n)[:, None] // w) % base  # x -> its n digits
-    return w[perms] @ digits.T
+    Each batch of at most _SCATTER_CELLS cells yields its values and an
+    array with one row per pi: enc(pi . x) for every combined index x,
+    where (pi . x)[pi(i)] = x[i].
+    """
+    dim = d**n
+    w = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits_t = ((np.arange(dim)[:, None] // w) % d).T  # column x holds x's n digits
+    items = iter(items)
+    while chunk := list(islice(items, max(1, _SCATTER_CELLS // dim))):
+        perms = np.array([pi for pi, _ in chunk], dtype=np.int64).reshape(len(chunk), n)
+        yield [v for _, v in chunk], w[perms] @ digits_t
 
 
 def cycle_type(pi: tuple[int, ...]) -> Partition:
@@ -200,8 +203,7 @@ def _multiply(a: _Element, b: _Element) -> _Element:
 
 
 def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
-               denominator: int = 1, bipartite: tuple[int, int] | None = None,
-               size_cap: int | None = None) -> DenseOperator:
+               denominator: int = 1, size_cap: int | None = None) -> DenseOperator:
     """The operator (1/denominator) sum_pi c_pi P(pi) on (C^d)^(x n).
 
     terms are the (pi, c_pi) items of a Z[S_n] element, read in batches.
@@ -212,14 +214,11 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     dim = d**n
     cols = np.arange(dim)
     acc = np.zeros(dim * dim, dtype=object)
-    terms = iter(terms)
-    while chunk := list(islice(terms, max(1, _SCATTER_CELLS // dim))):
-        perms = np.array([pi for pi, _ in chunk], dtype=np.int64).reshape(len(chunk), n)
-        coeffs = np.empty(len(chunk), dtype=object)
-        coeffs[:] = [c for _, c in chunk]
-        targets = _perm_index_map(perms, d)
+    for values, targets in _index_maps(terms, d, n):
+        coeffs = np.empty(len(values), dtype=object)
+        coeffs[:] = values
         np.add.at(acc, (targets * dim + cols).ravel(), np.repeat(coeffs, dim))
-    return DenseOperator(acc.reshape(dim, dim), Fraction(1, denominator), n, d, bipartite)
+    return DenseOperator(acc.reshape(dim, dim), Fraction(1, denominator), n, d)
 
 
 def _class_sum(values: dict[Partition, int], n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -230,19 +229,17 @@ def _class_sum(values: dict[Partition, int], n: int) -> Iterator[tuple[tuple[int
             yield pi, c
 
 
-def identity_operator(n: int, d: int, bipartite: tuple[int, int] | None = None,
-                      size_cap: int | None = None) -> DenseOperator:
-    return _represent([(tuple(range(n)), 1)], d, n, bipartite=bipartite, size_cap=size_cap)
+def identity_operator(n: int, d: int, size_cap: int | None = None) -> DenseOperator:
+    return _represent([(tuple(range(n)), 1)], d, n, size_cap=size_cap)
 
 
 def permutation_operator(pi: tuple[int, ...], d: int,
-                         bipartite: tuple[int, int] | None = None,
                          size_cap: int | None = None) -> DenseOperator:
     """The 0/1 operator permuting the tensor factors by pi; trace d^c(pi)."""
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{pi} is not a permutation of 0..{n - 1}")
-    return _represent([(tuple(pi), 1)], d, n, bipartite=bipartite, size_cap=size_cap)
+    return _represent([(tuple(pi), 1)], d, n, size_cap=size_cap)
 
 
 def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) -> DenseOperator:
@@ -379,58 +376,56 @@ def young_projector(t: Tableau, d: int, size_cap: int | None = None) -> DenseOpe
 # --- traces and averages ---------------------------------------------------
 
 
+def _trace_blocks(m: DenseOperator, table: np.ndarray, n: int, base: int) -> DenseOperator:
+    """Sum over the traced index t of the diagonal blocks m[table[:, t], table[:, t]].
+
+    table[k, t] is the combined index of kept index k and traced index t.
+    Blocks are gathered in batches of at most _SCATTER_CELLS cells; the
+    result lives on n factors of dimension base.
+    """
+    kept, traced = table.shape
+    out = np.zeros((kept, kept), dtype=object)
+    step = max(1, _SCATTER_CELLS // kept**2)
+    for start in range(0, traced, step):
+        batch = table[:, start:start + step].T
+        out += m.mat[batch[:, :, None], batch[:, None, :]].sum(axis=0)
+    return DenseOperator(out, m.scale, n, base)
+
+
 def partial_trace_subsystems(m: DenseOperator, keep: int) -> DenseOperator:
     """Trace out the last n-keep factors; the total trace is preserved."""
     if not 0 < keep <= m.n:
         raise ValueError(f"keep must be in 1..{m.n}")
-    head = m.base**keep
-    tail = m.base ** (m.n - keep)
-    r = m.mat.reshape(head, tail, head, tail)
-    out = np.empty((head, head), dtype=object)
-    out[:] = 0
-    for t in range(tail):
-        out += r[:, t, :, t]
-    return DenseOperator(out, m.scale, keep, m.base, m.bipartite)
+    table = np.arange(m.dim).reshape(m.base**keep, m.base ** (m.n - keep))
+    return _trace_blocks(m, table, keep, m.base)
 
 
-def partial_trace_inner(m: DenseOperator, p: int | None = None,
-                        q: int | None = None) -> DenseOperator:
-    """Trace out the C^q half of every factor, landing on (C^p)^(x n)."""
-    if p is None or q is None:
-        if m.bipartite is None:
-            raise ValueError("operator carries no bipartite split; pass p and q")
-        p, q = m.bipartite
+def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
+    """Trace out the C^q half of every factor, landing on (C^p)^(x n).
+
+    Each factor index is i*q + j with i its C^p digit, so the index table
+    has the axes (i_1, j_1, ..., i_n, j_n), reordered to put every i first.
+    """
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
     if p * q != m.base:
         raise ValueError(f"factor dimension {m.base} is not {p}*{q}")
     n = m.n
-    wk = _digit_weights(m.base, n)
-    wp = _digit_weights(p, n)
-    wq = _digit_weights(q, n)
-    kept = np.zeros(p**n, dtype=np.int64)
-    a = np.arange(p**n)
-    for i in range(n):
-        kept += ((a // wp[i]) % p) * (q * wk[i])
-    out = np.empty((p**n, p**n), dtype=object)
-    out[:] = 0
-    for j in range(q**n):
-        off = sum(((j // wq[i]) % q) * wk[i] for i in range(n))
-        idx = kept + off
-        out += m.mat[np.ix_(idx, idx)]
-    return DenseOperator(out, m.scale, n, p)
+    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    table = np.arange(m.dim).reshape((p, q) * n).transpose(axes).reshape(p**n, q**n)
+    return _trace_blocks(m, table, n, p)
 
 
 def symmetric_average(m: DenseOperator) -> DenseOperator:
     """Average of pi M pi^{-1} over all n! factor permutations."""
     n = m.n
-    dim = m.dim
-    acc = np.empty((dim, dim), dtype=object)
-    acc[:] = 0
+    acc = np.zeros((m.dim, m.dim), dtype=object)
     # pi M pi^{-1} is the index relabelling M[pi^{-1}a, pi^{-1}b]; summing over
-    # the whole group absorbs the inversion, so the forward map can be used
-    for pi in permutations(range(n)):
-        relabel = _perm_index_map(np.array([pi]), m.base)[0]
-        acc += m.mat[np.ix_(relabel, relabel)]
-    return DenseOperator(acc, m.scale / factorial(n), n, m.base, m.bipartite)
+    # the whole group absorbs the inversion, so the forward maps can be used
+    for _, relabels in _index_maps(((pi, None) for pi in permutations(range(n))), m.base, n):
+        for relabel in relabels:
+            acc += m.mat[np.ix_(relabel, relabel)]
+    return DenseOperator(acc, m.scale / factorial(n), n, m.base)
 
 
 def trace_norm(m: DenseOperator) -> float:
@@ -440,18 +435,25 @@ def trace_norm(m: DenseOperator) -> float:
     return float(np.abs(np.linalg.eigvalsh(m.to_float())).sum())
 
 
-def schur_weyl_weights(m: DenseOperator, size_cap: int | None = None) -> dict[Partition, Fraction]:
+def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
     """Projection tr(P_mu m) of an operator onto the duality-block basis.
 
     When m is a symmetric Werner state these are exactly its weights; in
     general they are the block components of the twirl-symmetrized part.
+    No projector is built: by linearity tr(P_mu m) is
+    (f_mu/n!) sum_alpha chi^mu(alpha) T(alpha), where the permutation trace
+    T(alpha) sums m[x, pi . x] over every x and every pi of cycle type alpha.
     """
-    out: dict[Partition, Fraction] = {}
-    for mu in partitions_of(m.n, m.base):
-        pmu = schur_weyl_projector(mu, m.base, size_cap=size_cap)
-        acc = int((pmu.mat * m.mat.T).sum())
-        out[mu] = pmu.scale * m.scale * acc
-    return out
+    n, d = m.n, m.base
+    cols = np.arange(m.dim)
+    traces = dict.fromkeys(partitions_of(n), 0)
+    typed = ((pi, cycle_type(pi)) for pi in permutations(range(n)))
+    for alphas, targets in _index_maps(typed, d, n):
+        for alpha, total in zip(alphas, m.mat[cols, targets].sum(axis=1)):
+            traces[alpha] += total
+    return {mu: m.scale * Fraction(dim_sym(mu), factorial(n))
+            * sum(mn_character(mu, alpha) * t for alpha, t in traces.items())
+            for mu in partitions_of(n, d)}
 
 
 def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOperator:
@@ -491,9 +493,7 @@ def verify_general_dual(t: Tableau, p: int, q: int,
     e = dim_unitary(shape, p * q)
     if e == 0:
         raise ValueError(f"{shape} does not fit in {p * q} rows")
-    proj = young_projector(t, p * q, size_cap=size_cap)
-    proj.bipartite = (p, q)
-    rho = proj * Fraction(1, e)
+    rho = young_projector(t, p * q, size_cap=size_cap) * Fraction(1, e)
     traced = partial_trace_inner(rho, p, q)
     mixed = identity_operator(n, p) * Fraction(1, p**n)
     delta = trace_norm(traced - mixed)

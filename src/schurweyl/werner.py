@@ -121,9 +121,16 @@ class WernerWeights:
         return all(self.weight(k) == other.weight(k) for k in keys)
 
 
-def _weights_on(n: int, d: int, value) -> WernerWeights:
-    """Build a weight vector over all of Par(n, d) in enumeration order."""
-    return WernerWeights(n, d, {mu: value(mu) for mu in partitions_of(n, d)})
+def _weights_on(n: int, d: int, value, total=1,
+                error: str = "weights do not sum to 1") -> WernerWeights:
+    """Build a weight vector over all of Par(n, d) in enumeration order.
+
+    Raises ConsistencyError(error) unless the weights sum to total.
+    """
+    out = WernerWeights(n, d, {mu: value(mu) for mu in partitions_of(n, d)})
+    if out.total() != total:
+        raise ConsistencyError(error)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +229,7 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     if not 1 <= k <= n:
         raise ValueError("k must be between 1 and n")
     scale = falling_factorial(n, k)
-    out = _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
-    if out.total() != 1:
-        raise ConsistencyError("weights do not sum to 1")
-    return out
+    return _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
 
 
 def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
@@ -240,12 +244,9 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     if rows(lam) > p * q:
         raise ValueError(f"{lam} has more than {p * q} rows")
     denom = factorial(n) * dim_unitary(lam, p * q)
-    out = _weights_on(
+    return _weights_on(
         n, p, lambda mu: Fraction(dim_unitary(mu, p) * character_polynomial(lam, mu)(q), denom)
     )
-    if out.total() != 1:
-        raise ConsistencyError("weights do not sum to 1")
-    return out
 
 
 def twirl_power(r: Spectrum, k: int) -> WernerWeights:
@@ -275,12 +276,10 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
         raise ValueError("d must be positive")
     alpha = as_partition(alpha)
     n = sum(alpha)
-    out = _weights_on(
-        n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n)
+    return _weights_on(
+        n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n),
+        Fraction(d ** rows(alpha), d**n), "cycle weights do not sum to d^(c - n)",
     )
-    if out.total() != Fraction(d ** rows(alpha), d**n):
-        raise ConsistencyError("cycle weights do not sum to d^(c - n)")
-    return out
 
 
 def cycle_sum_expansion(lam: Partition, p: int, q: int) -> dict[Partition, Fraction]:
@@ -323,12 +322,7 @@ def fully_mixed(n: int, d: int) -> WernerWeights:
     """Weights of the fully mixed state I / d^n: e^d_mu f_mu / d^n."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    out = _weights_on(
-        n, d, lambda mu: Fraction(dim_unitary(mu, d) * dim_sym(mu), d**n)
-    )
-    if out.total() != 1:
-        raise ConsistencyError("weights do not sum to 1")
-    return out
+    return _weights_on(n, d, lambda mu: Fraction(dim_unitary(mu, d) * dim_sym(mu), d**n))
 
 
 def trace_distance(a: WernerWeights, b: WernerWeights) -> Fraction:
@@ -405,8 +399,3 @@ def horn_witness(lam: Partition, mu: Partition) -> HornWitness | None:
     if any(x < 0 for x in b):
         raise ConsistencyError("Horn witness has a negative entry")
     return HornWitness(a, b, c)
-
-
-def polynomial_as_json(poly: IntPolynomial) -> list[int]:
-    """Ascending coefficient array, the wire format for integer polynomials."""
-    return list(poly.coeffs)

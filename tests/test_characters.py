@@ -78,7 +78,7 @@ def test_character_table_rows():
     table = CharacterTable(3)
     assert table.partitions == [(3,), (2, 1), (1, 1, 1)]
     assert table.row((2, 1)) == [-1, 0, 2]
-    assert table.value((3,), (2, 1)) == 1
+    assert mn_character((3,), (2, 1)) == 1
 
 
 def test_cache_can_be_cleared_and_refilled():

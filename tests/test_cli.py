@@ -107,6 +107,14 @@ def test_chartable_csv(capsys):
     assert data["rows"][1]["values"] == [-1, 0, 2]
 
 
+def test_chartable_prints_csv_for_every_format_but_json(capsys):
+    outputs = {run_cli(capsys, *flags, "chartable", "4")
+               for flags in ((), ("--format", "plain"), ("--format", "csv"))}
+    assert len(outputs) == 1
+    (code, out), = outputs
+    assert code == 0 and out.startswith('lambda\\alpha,[4],"[3,1]"')
+
+
 def test_usage_errors(capsys):
     assert main(["lr", "[2,1", "[1]", "[2]"]) == 2
     assert main(["trace", "[2,1,1]", "--sym", "2", "2"]) == 2  # rows exceed d

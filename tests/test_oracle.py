@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schurweyl import oracle
-from schurweyl.characters import dim_sym, dim_unitary
+from schurweyl.characters import dim_sym, dim_unitary, mn_character
 from schurweyl.errors import SizeCapError
 from schurweyl.oracle import (
     DenseOperator,
@@ -122,7 +122,7 @@ def _random_element(rng, n):
 
 
 def test_represent_is_multiplicative():
-    # non-commuting elements pin the composition order against _perm_index_map
+    # non-commuting elements pin the composition order against _index_maps
     rng = random.Random(0)
     for n in (3, 4):
         for d in (2, 3):
@@ -231,16 +231,15 @@ def test_partial_trace_matches_weight_formula(check_passes):
 def test_partial_trace_inner_product_rule():
     a = _obj([[2, 1], [1, 3]])
     b = _obj([[1, 1], [1, 5]])
-    ab = DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object),
-                       Fraction(1), 1, 4, bipartite=(2, 2))
-    red = partial_trace_inner(ab)
+    ab = DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object), Fraction(1), 1, 4)
+    red = partial_trace_inner(ab, 2, 2)
     assert red.same_as(DenseOperator(a * 6, Fraction(1), 1, 2))
     assert red.trace() == ab.trace()
     with pytest.raises(ValueError):
         partial_trace_inner(ab, 3, 2)
-    plain = DenseOperator(_obj([[1, 0], [0, 1]]), Fraction(1), 1, 2)
-    with pytest.raises(ValueError):
-        partial_trace_inner(plain)
+    for p, q in ((-2, -2), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            partial_trace_inner(schur_weyl_projector((2,), 4), p, q)
 
 
 def test_partial_trace_inner_matches_dual_weights():
@@ -248,8 +247,7 @@ def test_partial_trace_inner_matches_dual_weights():
         lam = (2,)
         ef = dim_unitary(lam, p * q) * dim_sym(lam)
         rho = schur_weyl_projector(lam, p * q) * Fraction(1, ef)
-        rho.bipartite = (p, q)
-        red = partial_trace_inner(rho)
+        red = partial_trace_inner(rho, p, q)
         assert red.trace() == 1
         wts = schur_weyl_weights(red)
         den = 2 * (p * q + 1)
@@ -291,8 +289,7 @@ def test_trace_norm_worked_example():
     lam = (2,)
     ef = dim_unitary(lam, p * q) * dim_sym(lam)
     rho = schur_weyl_projector(lam, p * q) * Fraction(1, ef)
-    rho.bipartite = (p, q)
-    red = partial_trace_inner(rho)
+    red = partial_trace_inner(rho, p, q)
     mixed = werner_combination(fully_mixed(2, p))
     expect = Fraction(p * p - 1, p * p * q + p)
     assert expect == Fraction(3, 10)
@@ -308,6 +305,78 @@ def test_verify_general_dual_report():
     assert rep["pass"]
     with pytest.raises(ValueError):
         verify_general_dual(first_standard_tableau((2, 1)), 2, 2)
+
+
+def _digits(x, base, n):
+    return [(x // base ** (n - 1 - i)) % base for i in range(n)]
+
+
+def _enc(digits, base):
+    x = 0
+    for v in digits:
+        x = x * base + v
+    return x
+
+
+def _act(pi, digits):
+    """The digits of pi . x, where (pi . x)[pi(i)] = x[i]."""
+    out = [0] * len(pi)
+    for i, v in enumerate(digits):
+        out[pi[i]] = v
+    return out
+
+
+def _random_operator(rng, n, d, symmetric=False):
+    dim = d**n
+    rows_ = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+    if symmetric:
+        rows_ = [[rows_[min(a, b)][max(a, b)] for b in range(dim)] for a in range(dim)]
+    return DenseOperator(_obj(rows_), Fraction(rng.randint(1, 9), rng.randint(1, 9)), n, d)
+
+
+def _projector_weights(m):
+    """The block weights as they were first measured: tr(P_mu m) with every
+    duality-block projector built as a dense matrix."""
+    out = {}
+    for mu in partitions_of(m.n, m.base):
+        pmu = schur_weyl_projector(mu, m.base)
+        out[mu] = pmu.scale * m.scale * int((pmu.mat * m.mat.T).sum())
+    return out
+
+
+def test_measurements_match_literal_index_sums():
+    rng = random.Random(8)
+    spaces = ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
+    for m in (_random_operator(rng, n, d, sym) for n, d in spaces for sym in (False, True)):
+        n, d, dim = m.n, m.base, m.dim
+        for keep in range(1, n + 1):
+            tail = d ** (n - keep)
+            want = [[sum(m.mat[a * tail + t, b * tail + t] for t in range(tail))
+                     for b in range(d**keep)] for a in range(d**keep)]
+            assert partial_trace_subsystems(m, keep).same_as(
+                DenseOperator(_obj(want), m.scale, keep, d)), (n, d, keep)
+        for p in (k for k in range(1, d + 1) if d % k == 0):
+            q = d // p
+
+            def enc(i, j):  # i, j: the C^p and C^q numerals of a combined index
+                return _enc([a * q + b for a, b in zip(_digits(i, p, n), _digits(j, q, n))], d)
+
+            want = [[sum(m.mat[enc(a, j), enc(b, j)] for j in range(q**n))
+                     for b in range(p**n)] for a in range(p**n)]
+            assert partial_trace_inner(m, p, q).same_as(
+                DenseOperator(_obj(want), m.scale, n, p)), (n, p, q)
+        acts = [[_enc(_act(pi, _digits(x, d, n)), d) for x in range(dim)]
+                for pi in permutations(range(n))]
+        want = [[sum(m.mat[act[a], act[b]] for act in acts) for b in range(dim)]
+                for a in range(dim)]
+        assert symmetric_average(m).same_as(
+            DenseOperator(_obj(want), m.scale / len(acts), n, d)), (n, d)
+        literal = {}
+        for mu in partitions_of(n, d):
+            total = sum(mn_character(mu, oracle.cycle_type(pi)) * m.mat[x, act[x]]
+                        for pi, act in zip(permutations(range(n)), acts) for x in range(dim))
+            literal[mu] = m.scale * Fraction(dim_sym(mu), len(acts)) * total
+        assert schur_weyl_weights(m) == literal == _projector_weights(m), (n, d)
 
 
 def test_operator_arithmetic_sanity():

@@ -6,13 +6,7 @@ arithmetic throughout; the oracle layer rebuilds the same quantities as
 literal matrices on small tensor powers and re-measures them.
 """
 
-from .characters import (
-    CharacterTable,
-    dim_sym,
-    dim_unitary,
-    dim_unitary_charsum,
-    mn_character,
-)
+from .characters import dim_sym, dim_unitary, dim_unitary_charsum, mn_character
 from .coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -21,7 +15,7 @@ from .coefficients import (
     littlewood_richardson,
     littlewood_richardson_char,
 )
-from .errors import ConsistencyError, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, ConsistencyError, SizeCapError, size_cap
 from .partitions import (
     Partition,
     as_partition,
@@ -57,10 +51,10 @@ __version__ = "0.1.0"
 # the dense oracle needs numpy, so it is imported on first use of one of
 # its names rather than with the package (PEP 562)
 _ORACLE_NAMES = frozenset({
-    "DEFAULT_SIZE_CAP", "DenseOperator", "first_standard_tableau", "identity_operator",
-    "partial_trace_inner", "partial_trace_subsystems", "permutation_operator",
-    "schur_weyl_projector", "schur_weyl_weights", "standard_tableaux", "symmetric_average",
-    "trace_norm", "verify_general_dual", "werner_combination", "young_projector",
+    "DenseOperator", "first_standard_tableau", "identity_operator", "partial_trace_inner",
+    "partial_trace_subsystems", "permutation_operator", "schur_weyl_projector",
+    "schur_weyl_weights", "standard_tableaux", "symmetric_average", "trace_norm",
+    "verify_general_dual", "werner_combination", "young_projector",
 })
 
 
@@ -73,7 +67,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CharacterTable",
     "ConsistencyError",
     "DEFAULT_SIZE_CAP",
     "DenseOperator",
@@ -118,6 +111,7 @@ __all__ = [
     "schur_weyl_projector",
     "schur_weyl_weights",
     "shifted_schur_eval",
+    "size_cap",
     "skew_standard_count",
     "standard_tableaux",
     "symmetric_average",

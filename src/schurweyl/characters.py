@@ -122,35 +122,3 @@ def dim_unitary_charsum(lam: Partition, d: int) -> int:
         raise ConsistencyError(f"character sum for e^{d}_{lam} not divisible by n!")
     return q
 
-
-class CharacterTable:
-    """All chi^lambda(alpha) for one n, filled lazily through the shared cache."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.partitions = partitions_of(n)
-
-    def row(self, lam: Partition) -> list[int]:
-        return [mn_character(lam, alpha) for alpha in self.partitions]
-
-    def check_orthogonality(self) -> bool:
-        """Row and column orthogonality, exact.
-
-        Rows: sum_alpha h_alpha chi^l(alpha) chi^m(alpha) = n! delta_lm.
-        Columns: sum_lam chi^lam(alpha) chi^lam(beta) = (n!/h_alpha) delta_ab.
-        """
-        parts = self.partitions
-        nfact = factorial(self.n)
-        h = {alpha: class_size(alpha) for alpha in parts}
-        for a in parts:
-            for b in parts:
-                s = sum(h[al] * mn_character(a, al) * mn_character(b, al) for al in parts)
-                if s != (nfact if a == b else 0):
-                    return False
-        for a in parts:
-            for b in parts:
-                s = sum(mn_character(lam, a) * mn_character(lam, b) for lam in parts)
-                want = nfact // h[a] if a == b else 0
-                if s != want:
-                    return False
-        return True

@@ -4,7 +4,9 @@ Partitions are written as JSON arrays, e.g. "[3,2,1]"; rationals print as
 num/den plus a float rendering.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 resource limit (size cap or recursion depth).
 `verify` prints one {check, lhs, rhs, pass, cases, failures, counterexample}
-report per check.
+report per check.  A --config file's values become the parser's defaults,
+so a flag still wins, and every command runs inside `size_cap(--size-cap)`,
+so a cap below the floor is refused whatever the command.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import CharacterTable
+from .characters import mn_character
 from .coefficients import kronecker, littlewood_richardson
-from .errors import SizeCapError
-from .partitions import conjugate, format_partition, parse_partition
+from .errors import DEFAULT_SIZE_CAP, SizeCapError, size_cap
+from .partitions import conjugate, format_partition, parse_partition, partitions_of
 from .werner import (
     WernerWeights,
     character_polynomial,
@@ -48,21 +49,12 @@ TABLE5_PAIRS = [
 ]
 
 
-@dataclass
-class RunConfig:
-    size_cap: int | None = None  # None: the oracle's default
-    output_format: str = "plain"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.size_cap is not None and self.size_cap < 64:
-            raise ValueError("size_cap must be at least 64")
-        if self.output_format not in ("plain", "json", "csv"):
-            raise ValueError(f"unknown format {self.output_format!r}")
+FORMATS = ("plain", "json", "csv")
 
 
 def load_config(path: str) -> dict:
-    """key=value file with size_cap, format and seed entries."""
+    """key=value file with size_cap, format and seed entries, keyed as the
+    parser's destinations so they can become its defaults."""
     out: dict = {}
     with open(path) as fh:
         for raw in fh:
@@ -75,7 +67,9 @@ def load_config(path: str) -> dict:
             if key in ("size_cap", "seed"):
                 out[key] = int(value)
             elif key == "format":
-                out["output_format"] = value
+                if value not in FORMATS:
+                    raise ValueError(f"unknown format {value!r}")
+                out[key] = value
             else:
                 raise ValueError(f"unknown config key {key!r}")
     return out
@@ -136,14 +130,17 @@ def _parse_spectrum(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"not a spectrum: {text!r}") from exc
     if not isinstance(data, list) or not data:
         raise ValueError(f"not a spectrum: {text!r}")
-    return tuple(Fraction(str(x)) for x in data)
+    try:
+        return tuple(Fraction(str(x)) for x in data)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a spectrum: {text!r} divides by zero") from exc
 
 
-def cmd_chi_poly(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_chi_poly(args) -> tuple[str, int]:
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     poly = character_polynomial(lam, mu)
     rr = root_range(lam, mu)
-    if cfg.output_format == "json":
+    if args.format == "json":
         data = {
             "lambda": list(lam),
             "mu": list(mu),
@@ -156,54 +153,54 @@ def cmd_chi_poly(args, cfg: RunConfig) -> tuple[str, int]:
     return f"{poly}; integral roots {rr.roots[0]}..{rr.roots[-1]}", 0
 
 
-def cmd_table5(args, cfg: RunConfig) -> tuple[str, int]:
-    if cfg.output_format == "json":
+def cmd_table5(args) -> tuple[str, int]:
+    if args.format == "json":
         return json.dumps(_table5_rows()), 0
     return _table5_plain(), 0
 
 
-def cmd_lr(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_lr(args) -> tuple[str, int]:
     value = littlewood_richardson(
         parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         return json.dumps({"value": value}), 0
     return str(value), 0
 
 
-def cmd_kron(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_kron(args) -> tuple[str, int]:
     value = kronecker(
         parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         return json.dumps({"value": value}), 0
     return str(value), 0
 
 
-def _emit_weights(w: WernerWeights, cfg: RunConfig) -> tuple[str, int]:
-    if cfg.output_format == "json":
+def _emit_weights(w: WernerWeights, fmt: str) -> tuple[str, int]:
+    if fmt == "json":
         return json.dumps(w.as_json()), 0
     return _weights_plain(w), 0
 
 
-def cmd_trace(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_trace(args) -> tuple[str, int]:
     lam = parse_partition(args.lam)
     if args.sym is not None:
         k, d = args.sym
-        return _emit_weights(trace_out_sym(lam, k, d), cfg)
+        return _emit_weights(trace_out_sym(lam, k, d), args.format)
     p, q = args.dual
-    return _emit_weights(dual_trace(lam, p, q), cfg)
+    return _emit_weights(dual_trace(lam, p, q), args.format)
 
 
-def cmd_twirl(args, cfg: RunConfig) -> tuple[str, int]:
-    return _emit_weights(twirl_power(_parse_spectrum(args.spectrum), args.k), cfg)
+def cmd_twirl(args) -> tuple[str, int]:
+    return _emit_weights(twirl_power(_parse_spectrum(args.spectrum), args.k), args.format)
 
 
-def cmd_dual_twirl(args, cfg: RunConfig) -> tuple[str, int]:
-    return _emit_weights(dual_twirl_cycle(parse_partition(args.alpha), args.d), cfg)
+def cmd_dual_twirl(args) -> tuple[str, int]:
+    return _emit_weights(dual_twirl_cycle(parse_partition(args.alpha), args.d), args.format)
 
 
-def cmd_bound(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_bound(args) -> tuple[str, int]:
     if args.dual is not None:
         n, q = args.dual
         value = definetti_bound_dual(n, q)
@@ -212,31 +209,31 @@ def cmd_bound(args, cfg: RunConfig) -> tuple[str, int]:
         k, lam_min = args.sym
         value = definetti_bound_sym(k, lam_min)
         label = {"kind": "sym", "k": k, "lambda_min": lam_min}
-    if cfg.output_format == "json":
+    if args.format == "json":
         label.update(num=value.numerator, den=value.denominator, value=float(value))
         return json.dumps(label), 0
     return _frac_str(value), 0
 
 
-def cmd_dof(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_dof(args) -> tuple[str, int]:
     value = degrees_of_freedom(args.n, args.d, args.kind)
-    if cfg.output_format == "json":
+    if args.format == "json":
         return json.dumps({"n": args.n, "d": args.d, "kind": args.kind, "value": value}), 0
     return str(value), 0
 
 
-def cmd_qplus(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_qplus(args) -> tuple[str, int]:
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     rr = root_range(lam, mu)
-    if cfg.output_format == "json":
+    if args.format == "json":
         return json.dumps({"q_minus": rr.q_minus, "q_plus": rr.q_plus, "roots": rr.roots}), 0
     return f"q+={rr.q_plus} q-={rr.q_minus} roots={_roots_str(rr.roots)}", 0
 
 
-def cmd_horn(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_horn(args) -> tuple[str, int]:
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     witness = horn_witness(lam, mu)
-    if cfg.output_format == "json":
+    if args.format == "json":
         if witness is None:
             return json.dumps({"witness": None}), 0
         return json.dumps({"witness": {"a": list(witness.a), "b": list(witness.b),
@@ -246,30 +243,28 @@ def cmd_horn(args, cfg: RunConfig) -> tuple[str, int]:
     return (f"A=diag{witness.a}\nB=diag{witness.b}\nC=diag{witness.c}"), 0
 
 
-def cmd_chartable(args, cfg: RunConfig) -> tuple[str, int]:
-    table = CharacterTable(args.n)
-    parts = table.partitions
-    if cfg.output_format == "json":
+def cmd_chartable(args) -> tuple[str, int]:
+    parts = partitions_of(args.n)
+    rows = {lam: [mn_character(lam, alpha) for alpha in parts] for lam in parts}
+    if args.format == "json":
         data = {
             "n": args.n,
             "classes": [list(a) for a in parts],
-            "rows": [
-                {"partition": list(lam), "values": table.row(lam)} for lam in parts
-            ],
+            "rows": [{"partition": list(lam), "values": row} for lam, row in rows.items()],
         }
         return json.dumps(data), 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda\\alpha"] + [format_partition(a) for a in parts])
-    for lam in parts:
-        writer.writerow([format_partition(lam)] + [str(v) for v in table.row(lam)])
+    for lam, row in rows.items():
+        writer.writerow([format_partition(lam)] + [str(v) for v in row])
     return buf.getvalue().rstrip("\n"), 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[str, int]:
     from . import verify  # loads numpy, which no other command needs
 
-    reports = verify.run_suite(args.suite, size_cap=cfg.size_cap, seed=cfg.seed)
+    reports = verify.run_suite(args.suite, seed=args.seed)
     ok = all(r["pass"] for r in reports)
     out = json.dumps({"suite": args.suite, "pass": ok, "checks": reports}, indent=2)
     return out, 0 if ok else 1
@@ -280,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schurweyl",
         description="Exact Schur-Weyl duality combinatorics and dense verification.",
     )
-    parser.add_argument("--format", choices=["plain", "json", "csv"], default=None)
-    parser.add_argument("--size-cap", type=int, default=None,
-                        help="dense operator side-length cap (default 4096)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--format", choices=FORMATS, default="plain")
+    parser.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+                        help="dense operator side-length cap (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
                         help="sampling order seed for randomized checks")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None, help="write output to this file")
@@ -364,44 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    settings: dict = {}
     try:
         if args.config:
-            settings.update(load_config(args.config))
-        if args.format is not None:
-            settings["output_format"] = args.format
-        if args.size_cap is not None:
-            settings["size_cap"] = args.size_cap
-        if args.seed is not None:
-            settings["seed"] = args.seed
-        cfg = RunConfig(**settings)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        text, code = args.func(args, cfg)
+            # the file's values become defaults, so a flag still wins
+            parser.set_defaults(**load_config(args.config))
+            args = parser.parse_args(argv)
+        with size_cap(args.size_cap):
+            text, code = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+            return code
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
         print("error: input too deep (recursion limit reached)", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a bad --config or --out file is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        try:
-            print(text)
-        except BrokenPipeError:
-            # the reader closed early (e.g. `| head`); keep the exit-time
-            # flush of sys.stdout from raising again
-            sys.stdout = open(os.devnull, "w")
+    try:
+        print(text)
+    except BrokenPipeError:
+        # the reader closed early (e.g. `| head`); keep the exit-time
+        # flush of sys.stdout from raising again
+        sys.stdout = open(os.devnull, "w")
     return code
 
 

@@ -23,12 +23,14 @@ intermediate integer stays below 2^53 (hence exact), with an object dtype
 fallback otherwise.
 
 Measurements build no operators.  Every index a construction or a
-measurement reads comes from one of two tables over the combined indices
+measurement reads comes from the digits of the combined indices
 np.arange(d^n): the permutation index maps enc(pi . x) of `_index_maps`
-(the scatter, the permutation average and the block weights, which are
-permutation traces summed by class), or a (kept x traced) reshaping of
-np.arange(d^n) (both partial traces).  An operator carries only (n, d);
-a bipartite split (p, q) is passed to the inner trace explicitly.
+(the scatter and the block weights, which are permutation traces summed
+by class), a (kept x traced) reshaping (both partial traces), or the
+S_n-orbit labels of index pairs (the permutation average).  An operator
+carries only (n, d); a bipartite split (p, q) is passed to the inner trace
+explicitly.  Every construction refuses a side d^n above the run's size
+cap (`errors.size_cap`) before any work.
 
 Basis conventions, fixed and relied on by all index bookkeeping:
 * combined indices are base-d numerals with factor 1 as the most
@@ -50,25 +52,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .characters import dim_sym, dim_unitary, mn_character
-from .errors import SizeCapError
+from .errors import SizeCapError, current_size_cap
 from .partitions import Partition, as_partition, partitions_of
 from .werner import WernerWeights, definetti_bound_dual
-
-DEFAULT_SIZE_CAP = 4096
 
 _EXACT_FLOAT = float(2**53)
 _SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
 _SLACK = 1e-7  # slack on float inequality assertions; asserted gaps are >= 1e-3
 
 
-def _check_cap(d: int, n: int, size_cap: int | None) -> None:
+def _check_cap(d: int, n: int) -> None:
     """Reject a local dimension below 1, then a matrix side d^n above the cap."""
     if d < 1:
         raise ValueError("d must be positive")
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-    if cap < 64:
-        raise ValueError("size cap must be at least 64")
-    if d**n > cap:
+    if d**n > (cap := current_size_cap()):
         raise SizeCapError(f"matrix side {d**n} exceeds the size cap {cap}")
 
 
@@ -203,14 +200,14 @@ def _multiply(a: _Element, b: _Element) -> _Element:
 
 
 def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
-               denominator: int = 1, size_cap: int | None = None) -> DenseOperator:
+               denominator: int = 1) -> DenseOperator:
     """The operator (1/denominator) sum_pi c_pi P(pi) on (C^d)^(x n).
 
     terms are the (pi, c_pi) items of a Z[S_n] element, read in batches.
     P(pi) has a 1 at (enc(pi . x), x) for every combined index x, so each
     coefficient lands in d^n cells of one matrix.
     """
-    _check_cap(d, n, size_cap)
+    _check_cap(d, n)
     dim = d**n
     cols = np.arange(dim)
     acc = np.zeros(dim * dim, dtype=object)
@@ -229,20 +226,19 @@ def _class_sum(values: dict[Partition, int], n: int) -> Iterator[tuple[tuple[int
             yield pi, c
 
 
-def identity_operator(n: int, d: int, size_cap: int | None = None) -> DenseOperator:
-    return _represent([(tuple(range(n)), 1)], d, n, size_cap=size_cap)
+def identity_operator(n: int, d: int) -> DenseOperator:
+    return _represent([(tuple(range(n)), 1)], d, n)
 
 
-def permutation_operator(pi: tuple[int, ...], d: int,
-                         size_cap: int | None = None) -> DenseOperator:
+def permutation_operator(pi: tuple[int, ...], d: int) -> DenseOperator:
     """The 0/1 operator permuting the tensor factors by pi; trace d^c(pi)."""
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{pi} is not a permutation of 0..{n - 1}")
-    return _represent([(tuple(pi), 1)], d, n, size_cap=size_cap)
+    return _represent([(tuple(pi), 1)], d, n)
 
 
-def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) -> DenseOperator:
+def schur_weyl_projector(lam: Partition, d: int) -> DenseOperator:
     """Projector onto the duality block of lambda: (f/n!) sum_pi chi(pi) pi.
 
     Zero when lambda has more than d rows.  The family over Par(n, d) is a
@@ -250,11 +246,11 @@ def schur_weyl_projector(lam: Partition, d: int, size_cap: int | None = None) ->
     """
     lam = as_partition(lam)
     n = sum(lam)
-    _check_cap(d, n, size_cap)  # before any group-algebra work
+    _check_cap(d, n)  # before any group-algebra work
     f, den = dim_sym(lam), factorial(n)
     g = gcd(f, den)
     chi = {alpha: f // g * mn_character(lam, alpha) for alpha in partitions_of(n)}
-    return _represent(_class_sum(chi, n), d, n, den // g, size_cap=size_cap)
+    return _represent(_class_sum(chi, n), d, n, den // g)
 
 
 # --- standard tableaux ----------------------------------------------------
@@ -354,7 +350,7 @@ def _jucys_murphy_idempotent(t: Tableau) -> tuple[_Element, int]:
     return elem, denom
 
 
-def young_projector(t: Tableau, d: int, size_cap: int | None = None) -> DenseOperator:
+def young_projector(t: Tableau, d: int) -> DenseOperator:
     """Orthogonal projector onto a single unitary irrep selected by the tableau.
 
     The representation of the Gelfand-Tsetlin idempotent E_t of Z[S_n]:
@@ -368,9 +364,9 @@ def young_projector(t: Tableau, d: int, size_cap: int | None = None) -> DenseOpe
     """
     check_standard_tableau(t)
     n = sum(tableau_shape(t))
-    _check_cap(d, n, size_cap)  # before any group-algebra work
+    _check_cap(d, n)  # before any group-algebra work
     elem, denom = _jucys_murphy_idempotent(t)
-    return _represent(elem.items(), d, n, denom, size_cap=size_cap)
+    return _represent(elem.items(), d, n, denom)
 
 
 # --- traces and averages ---------------------------------------------------
@@ -417,15 +413,33 @@ def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
 
 
 def symmetric_average(m: DenseOperator) -> DenseOperator:
-    """Average of pi M pi^{-1} over all n! factor permutations."""
-    n = m.n
-    acc = np.zeros((m.dim, m.dim), dtype=object)
-    # pi M pi^{-1} is the index relabelling M[pi^{-1}a, pi^{-1}b]; summing over
-    # the whole group absorbs the inversion, so the forward maps can be used
-    for _, relabels in _index_maps(((pi, None) for pi in permutations(range(n))), m.base, n):
-        for relabel in relabels:
-            acc += m.mat[np.ix_(relabel, relabel)]
-    return DenseOperator(acc, m.scale / factorial(n), n, m.base)
+    """Average of pi M pi^{-1} over all n! factor permutations.
+
+    pi M pi^{-1} relabels M[x, y] as M[pi . x, pi . y], so the sum over the
+    group at (x, y) is the size of the stabiliser of the index pair times
+    the sum of M over its S_n-orbit.  The orbit is labelled by the sorted
+    digit pairs (x_i, y_i); the stabiliser size is the product of the
+    factorials of their multiplicities.  That is d^(2n) additions, not
+    n! d^(2n).
+    """
+    n, d, dim = m.n, m.base, m.dim
+    w = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(dim)[:, None] // w) % d  # row x holds x's n digits
+    labels = np.empty((dim, dim), dtype=np.int64)
+    stabiliser = np.ones((dim, dim), dtype=np.int64)
+    step = max(1, _SCATTER_CELLS // (dim * n))
+    for start in range(0, dim, step):
+        pairs = np.sort(digits[start:start + step, None, :] * d + digits, axis=-1)
+        labels[start:start + step] = pairs @ (w * w)  # base d^2 numeral of the sorted pairs
+        run = np.ones(pairs.shape[:2], dtype=np.int64)  # place of pair i in its run
+        for i in range(1, n):
+            run = np.where(pairs[..., i] == pairs[..., i - 1], run + 1, 1)
+            stabiliser[start:start + step] *= run
+    orbits, index = np.unique(labels.ravel(), return_inverse=True)
+    sums = np.zeros(len(orbits), dtype=object)
+    np.add.at(sums, index, m.mat.ravel())
+    acc = sums[index].reshape(dim, dim) * stabiliser  # int64 is cast to Python ints
+    return DenseOperator(acc, m.scale / factorial(n), n, d)
 
 
 def trace_norm(m: DenseOperator) -> float:
@@ -456,14 +470,14 @@ def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
             for mu in partitions_of(n, d)}
 
 
-def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOperator:
+def werner_combination(w: WernerWeights) -> DenseOperator:
     """The literal operator sum_mu a_mu rho_mu on (C^d)^(x n).
 
     One class sum: rho_mu = (1/(e_mu n!)) sum_pi chi^mu(pi) pi, so the
     coefficient of pi is sum_mu a_mu chi^mu(pi) / (e_mu n!).
     """
     n, d = w.n, w.d
-    _check_cap(d, n, size_cap)  # before any group-algebra work
+    _check_cap(d, n)  # before any group-algebra work
     classes = partitions_of(n)
     coeff = {alpha: Fraction(0) for alpha in classes}
     for mu, a in w.weights.items():
@@ -474,11 +488,10 @@ def werner_combination(w: WernerWeights, size_cap: int | None = None) -> DenseOp
             coeff[alpha] += unit * mn_character(mu, alpha)
     den = lcm(*(c.denominator for c in coeff.values()))
     values = {alpha: int(c * den) for alpha, c in coeff.items()}
-    return _represent(_class_sum(values, n), d, n, den, size_cap=size_cap)
+    return _represent(_class_sum(values, n), d, n, den)
 
 
-def verify_general_dual(t: Tableau, p: int, q: int,
-                        size_cap: int | None = None) -> dict:
+def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     """Measure the inner-trace distance of a single-irrep state to fully mixed.
 
     Builds rho from the tableau projector on ((C^p)(x)(C^q))^(x n), traces
@@ -493,7 +506,7 @@ def verify_general_dual(t: Tableau, p: int, q: int,
     e = dim_unitary(shape, p * q)
     if e == 0:
         raise ValueError(f"{shape} does not fit in {p * q} rows")
-    rho = young_projector(t, p * q, size_cap=size_cap) * Fraction(1, e)
+    rho = young_projector(t, p * q) * Fraction(1, e)
     traced = partial_trace_inner(rho, p, q)
     mixed = identity_operator(n, p) * Fraction(1, p**n)
     delta = trace_norm(traced - mixed)

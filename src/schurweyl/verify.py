@@ -4,7 +4,7 @@ Each check recomputes one family of identities or bounds from scratch over
 fixed ranges.  It is written as a generator of (case, ok) pairs: case holds
 the parameters of one case as JSON-able data (ints, strings, and tuples or
 lists of them; spectra as "a/b" strings).  The `_tallied` decorator makes
-it the module-level `check_*(*, seed, size_cap) -> dict` that counts its
+it the module-level `check_*(*, seed) -> dict` that counts its
 pairs through `_tally` into the report {check, lhs, rhs, pass, cases,
 failures, counterexample}: lhs reads "F failures in N cases" and
 counterexample is the first failing case, or None.  The counting happens
@@ -16,12 +16,13 @@ rebuilt as dense matrices and re-measured).  SUITES names them for
 `run_suite`.  A report name is written only here, as a registry key; `_run`
 stamps it on the report.
 
-Every check takes the keyword-only arguments seed and size_cap, used or
-not, so one loop runs them all.  Keep the registries flat and at module
-level: code that rebinds a check wherever it is bound (as `perfbench` does
-to time each one) replaces module globals and the entries of module-level
-dicts, not of nested ones.
-All checks are deterministic for a fixed (size_cap, seed).
+Every check takes the keyword-only argument seed, used or not, so one loop
+runs them all; the oracle checks build under the size cap in force
+(`with errors.size_cap(n):` around the run).  Keep the registries flat and
+at module level: code that rebinds a check wherever it is bound (as
+`perfbench` does to time each one) replaces module globals and the entries
+of module-level dicts, not of nested ones.
+All checks are deterministic for a fixed (size cap, seed).
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ from math import factorial, gcd
 import numpy as np
 
 from . import oracle
-from .characters import (
-    CharacterTable,
-    dim_sym,
-    dim_unitary,
-    dim_unitary_charsum,
-)
+from .characters import dim_sym, dim_unitary, dim_unitary_charsum, mn_character
 from .coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -51,6 +47,7 @@ from .coefficients import (
 )
 from .errors import SizeCapError
 from .partitions import (
+    class_size,
     conjugate,
     contains,
     normalized,
@@ -95,8 +92,8 @@ def _tally(pairs: Iterable[tuple[object, bool]]) -> dict:
 def _tallied(cases: Callable[..., Cases]) -> Callable[..., dict]:
     """A check that runs the generator `cases` to the end and returns its tally."""
     @functools.wraps(cases)
-    def check(*, seed: int, size_cap: int | None) -> dict:
-        return _tally(cases(seed=seed, size_cap=size_cap))
+    def check(*, seed: int) -> dict:
+        return _tally(cases(seed=seed))
 
     return check
 
@@ -106,13 +103,22 @@ def _spectrum(r: tuple[Fraction, ...]) -> tuple[str, ...]:
 
 
 @_tallied
-def check_character_orthogonality(*, seed: int, size_cap: int | None) -> Cases:
+def check_character_orthogonality(*, seed: int) -> Cases:
+    """Row and column orthogonality of the character table of S_n, exact:
+    sum_alpha h_alpha chi^l(alpha) chi^m(alpha) = n! delta_lm and
+    sum_lam chi^lam(alpha) chi^lam(beta) = (n!/h_alpha) delta_ab."""
     for n in range(1, 9):
-        yield n, CharacterTable(n).check_orthogonality()
+        parts, nfact = partitions_of(n), factorial(n)
+        h = {alpha: class_size(alpha) for alpha in parts}
+        chi = {(lam, alpha): mn_character(lam, alpha) for lam in parts for alpha in parts}
+        yield n, all(
+            sum(h[g] * chi[a, g] * chi[b, g] for g in parts) == (nfact if a == b else 0)
+            and sum(chi[lam, a] * chi[lam, b] for lam in parts) == (nfact // h[a] if a == b else 0)
+            for a in parts for b in parts)
 
 
 @_tallied
-def check_dimension_identities(*, seed: int, size_cap: int | None) -> Cases:
+def check_dimension_identities(*, seed: int) -> Cases:
     for n in range(1, 7):
         squares = sum(dim_sym(lam) ** 2 for lam in partitions_of(n))
         yield ("sum f^2 = n!", n), squares == factorial(n)
@@ -124,7 +130,7 @@ def check_dimension_identities(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_lr_two_paths(*, seed: int, size_cap: int | None) -> Cases:
+def check_lr_two_paths(*, seed: int) -> Cases:
     for n in range(1, 7):
         for lam in partitions_of(n):
             for k in range(n + 1):
@@ -135,7 +141,7 @@ def check_lr_two_paths(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_kron_symmetry(*, seed: int, size_cap: int | None) -> Cases:
+def check_kron_symmetry(*, seed: int) -> Cases:
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
@@ -147,7 +153,7 @@ def check_kron_symmetry(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_kronecker_row_bound(*, seed: int, size_cap: int | None) -> Cases:
+def check_kronecker_row_bound(*, seed: int) -> Cases:
     """Some nu with few rows couples to every (lam, mu) pair."""
     for n in range(1, 7):
         parts = partitions_of(n)
@@ -158,7 +164,7 @@ def check_kronecker_row_bound(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> Cases:
+def check_inner_sum_lr(*, seed: int) -> Cases:
     """f * s*_mu(lam) / (n falling k) = sum_nu c f_nu = skew count, exactly."""
     for n in range(1, 8):
         for lam in partitions_of(n):
@@ -175,7 +181,7 @@ def check_inner_sum_lr(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_inner_sum_vanishing(*, seed: int, size_cap: int | None) -> Cases:
+def check_inner_sum_vanishing(*, seed: int) -> Cases:
     """Outside containment the shifted Schur value and the sums vanish."""
     for n in range(1, 7):
         for lam in partitions_of(n):
@@ -189,7 +195,7 @@ def check_inner_sum_vanishing(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_inner_sum_kron(*, seed: int, size_cap: int | None) -> Cases:
+def check_inner_sum_kron(*, seed: int) -> Cases:
     """n! * sum_nu g e^q_nu = value of the character polynomial at q."""
     for n in range(1, 7):
         parts = partitions_of(n)
@@ -201,7 +207,7 @@ def check_inner_sum_kron(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_chi_poly_symmetries(*, seed: int, size_cap: int | None) -> Cases:
+def check_chi_poly_symmetries(*, seed: int) -> Cases:
     """Symmetry in the pair, conjugate-pair equality, sign rule under one
     conjugation, and orthogonality at q=1."""
     for n in range(1, 7):
@@ -219,7 +225,7 @@ def check_chi_poly_symmetries(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_root_structure(*, seed: int, size_cap: int | None) -> Cases:
+def check_root_structure(*, seed: int) -> Cases:
     """Contiguous integer roots around 0, the row bound on q+, and q+ = 1
     exactly on the diagonal.  root_range raises if structure is broken."""
     for n in range(1, 7):
@@ -239,7 +245,7 @@ def check_root_structure(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_trace_states(*, seed: int, size_cap: int | None) -> Cases:
+def check_trace_states(*, seed: int) -> Cases:
     """Both trace maps return genuine states: non-negative weights, sum 1."""
     for n in range(1, 6):
         for d in range(1, 5):
@@ -253,7 +259,7 @@ def check_trace_states(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_cycle_sum(*, seed: int, size_cap: int | None) -> Cases:
+def check_cycle_sum(*, seed: int) -> Cases:
     for n in range(1, 5):
         for p in (2, 3):
             for q in (2, 3):
@@ -263,7 +269,7 @@ def check_cycle_sum(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_dual_twirl_trace(*, seed: int, size_cap: int | None) -> Cases:
+def check_dual_twirl_trace(*, seed: int) -> Cases:
     for n in range(1, 7):
         for d in range(1, 6):
             for alpha in partitions_of(n):
@@ -278,7 +284,7 @@ def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
 
 
 @_tallied
-def check_twirl_sum(*, seed: int, size_cap: int | None) -> Cases:
+def check_twirl_sum(*, seed: int) -> Cases:
     """Twirled powers are states; pure and fully mixed specializations."""
     rng = random.Random(seed)
     for d in (2, 3):
@@ -293,7 +299,7 @@ def check_twirl_sum(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_schur_two_paths(*, seed: int, size_cap: int | None) -> Cases:
+def check_schur_two_paths(*, seed: int) -> Cases:
     rng = random.Random(seed)
     shapes = [mu for k in range(1, 5) for mu in partitions_of(k)]
     for d in (2, 3, 4):
@@ -304,7 +310,7 @@ def check_schur_two_paths(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> Cases:
+def check_shifted_schur_scaling(*, seed: int) -> Cases:
     """Scaled diagrams: the normalized shifted value approaches the Schur
     value monotonically at an O(1/m) rate (ratio within a factor 2 of 10
     per decade of m)."""
@@ -323,7 +329,7 @@ def check_shifted_schur_scaling(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_dual_definetti_weights(*, seed: int, size_cap: int | None) -> Cases:
+def check_dual_definetti_weights(*, seed: int) -> Cases:
     """Distance from the traced state to fully mixed obeys the exact bound,
     strictly for n >= 2 (at n = 1 both sides are 0), for every diagram in
     range.  Pure rational comparison, no tolerance."""
@@ -338,7 +344,7 @@ def check_dual_definetti_weights(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_dual_definetti_asymptote(*, seed: int, size_cap: int | None) -> Cases:
+def check_dual_definetti_asymptote(*, seed: int) -> Cases:
     """For large q the exact bound is within 1% of 2n(n-1)/q."""
     for n in (2, 3):
         q = 1000
@@ -348,7 +354,7 @@ def check_dual_definetti_asymptote(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_sym_definetti_regime(*, seed: int, size_cap: int | None) -> Cases:
+def check_sym_definetti_regime(*, seed: int) -> Cases:
     """Subsystem-trace distance to the twirled power state obeys the leading
     bound in the regime lam_min >= 20 k^2 where that term dominates."""
     for k, lam in ((2, (160, 80)), (3, (360, 180)), (2, (120, 100, 80))):
@@ -358,7 +364,7 @@ def check_sym_definetti_regime(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_bound_edges(*, seed: int, size_cap: int | None) -> Cases:
+def check_bound_edges(*, seed: int) -> Cases:
     yield "dual(1, 7) = 0, dual(2, 2) = 3/2", (definetti_bound_dual(1, 7) == 0
                                                and definetti_bound_dual(2, 2) == Fraction(3, 2))
     yield "sym(1, 5) = 0", definetti_bound_sym(1, 5) == 0
@@ -374,27 +380,27 @@ def check_bound_edges(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_perm_traces(*, seed: int, size_cap: int | None) -> Cases:
+def check_perm_traces(*, seed: int) -> Cases:
     for n in (2, 3):
         for d in (2, 3):
             for pi in permutations(range(n)):
-                op = oracle.permutation_operator(pi, d, size_cap=size_cap)
+                op = oracle.permutation_operator(pi, d)
                 yield (pi, d), op.trace() == d ** rows(oracle.cycle_type(pi))
 
 
 @_tallied
-def check_sw_families(*, seed: int, size_cap: int | None) -> Cases:
+def check_sw_families(*, seed: int) -> Cases:
     """Orthogonality, completeness and traces of the duality projectors."""
     for d, n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (6, 2), (4, 3)):
         parts = partitions_of(n, d)
-        ps = {lam: oracle.schur_weyl_projector(lam, d, size_cap=size_cap) for lam in parts}
-        total = oracle.identity_operator(n, d, size_cap=size_cap) * 0
+        ps = {lam: oracle.schur_weyl_projector(lam, d) for lam in parts}
+        total = oracle.identity_operator(n, d) * 0
         ok = True
         for lam, p in ps.items():
             ok = ok and p.is_symmetric() and (p @ p).same_as(p)
             ok = ok and p.trace() == dim_unitary(lam, d) * dim_sym(lam)
             total = total + p
-        ok = ok and total.same_as(oracle.identity_operator(n, d, size_cap=size_cap))
+        ok = ok and total.same_as(oracle.identity_operator(n, d))
         for a in parts:
             for b in parts:
                 if a != b:
@@ -403,52 +409,49 @@ def check_sw_families(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_trace_formula_oracle(*, seed: int, size_cap: int | None) -> Cases:
+def check_trace_formula_oracle(*, seed: int) -> Cases:
     """Dense partial trace of each block state is a state and equals the
     weight formula."""
     for d in range(2, 4):
         for n in range(2, 5):
             for lam in partitions_of(n, d):
                 ef = dim_unitary(lam, d) * dim_sym(lam)
-                rho = oracle.schur_weyl_projector(lam, d, size_cap=size_cap) * Fraction(1, ef)
+                rho = oracle.schur_weyl_projector(lam, d) * Fraction(1, ef)
                 for k in range(1, n + 1):
                     red = oracle.partial_trace_subsystems(rho, k)
                     wts = oracle.schur_weyl_weights(red)
                     expect = trace_out_sym(lam, k, d)
                     ok = red.trace() == 1 and wts == dict(expect.weights)
-                    ok = ok and oracle.werner_combination(expect, size_cap=size_cap).same_as(red)
+                    ok = ok and oracle.werner_combination(expect).same_as(red)
                     yield (lam, k, d), ok
 
 
 @_tallied
-def check_dual_trace_oracle(*, seed: int, size_cap: int | None) -> Cases:
+def check_dual_trace_oracle(*, seed: int) -> Cases:
     """Dense inner partial trace equals the dual weight formula, both for the
     full block state and for a single-irrep copy."""
     for p, q, n in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
         for lam in partitions_of(n, p * q):
             expect = dict(dual_trace(lam, p, q).weights)
             ef = dim_unitary(lam, p * q) * dim_sym(lam)
-            rho = oracle.schur_weyl_projector(lam, p * q, size_cap=size_cap) * Fraction(1, ef)
+            rho = oracle.schur_weyl_projector(lam, p * q) * Fraction(1, ef)
             red = oracle.partial_trace_inner(rho, p, q)
             ok = oracle.schur_weyl_weights(red) == expect
-            ok = ok and oracle.werner_combination(
-                dual_trace(lam, p, q), size_cap=size_cap
-            ).same_as(red)
-            single = oracle.young_projector(
-                oracle.first_standard_tableau(lam), p * q, size_cap=size_cap
-            ) * Fraction(1, dim_unitary(lam, p * q))
+            ok = ok and oracle.werner_combination(dual_trace(lam, p, q)).same_as(red)
+            single = (oracle.young_projector(oracle.first_standard_tableau(lam), p * q)
+                      * Fraction(1, dim_unitary(lam, p * q)))
             red2 = oracle.partial_trace_inner(single, p, q)
             ok = ok and oracle.schur_weyl_weights(red2) == expect
             yield (lam, p, q), ok
 
 
 @_tallied
-def check_dual_twirl_oracle(*, seed: int, size_cap: int | None) -> Cases:
+def check_dual_twirl_oracle(*, seed: int) -> Cases:
     """Averaged permutation operators expand with the predicted coefficients,
     including the (2,1) at d=3 value (10/27, 0, -1/27)."""
     for d in (2, 3):
         for pi in permutations(range(3)):
-            op = oracle.permutation_operator(pi, d, size_cap=size_cap) * Fraction(1, d**3)
+            op = oracle.permutation_operator(pi, d) * Fraction(1, d**3)
             sym = oracle.symmetric_average(op)
             wts = oracle.schur_weyl_weights(sym)
             yield (pi, d), wts == dict(dual_twirl_cycle(oracle.cycle_type(pi), d).weights)
@@ -458,7 +461,7 @@ def check_dual_twirl_oracle(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_young_projectors(*, seed: int, size_cap: int | None) -> Cases:
+def check_young_projectors(*, seed: int) -> Cases:
     """Idempotence, symmetry, trace (= rank = unitary dimension), the
     symmetric-subspace and antisymmetrizer specializations, and the
     permutation average collapsing to the block projector."""
@@ -466,25 +469,24 @@ def check_young_projectors(*, seed: int, size_cap: int | None) -> Cases:
         for shape in partitions_of(n):
             for t in oracle.standard_tableaux(shape):
                 for d in (2, 3):
-                    yp = oracle.young_projector(t, d, size_cap=size_cap)
+                    yp = oracle.young_projector(t, d)
                     ok = yp.is_symmetric() and (yp @ yp).same_as(yp)
                     ok = ok and yp.trace() == dim_unitary(shape, d)
                     yield (t, d), ok
     row = oracle.first_standard_tableau((3,))
-    yield ("row is the symmetric projector", row, 2), oracle.young_projector(
-        row, 2, size_cap=size_cap
-    ).same_as(oracle.schur_weyl_projector((3,), 2, size_cap=size_cap))
+    yield ("row is the symmetric projector", row, 2), oracle.young_projector(row, 2).same_as(
+        oracle.schur_weyl_projector((3,), 2))
     col = tuple((k,) for k in (1, 2, 3))
-    anti = oracle.young_projector(col, 3, size_cap=size_cap)
+    anti = oracle.young_projector(col, 3)
     yield ("column has rank 1", col, 3), anti.trace() == 1  # binom(3, 3)
     t21 = oracle.first_standard_tableau((2, 1))
-    avg = oracle.symmetric_average(oracle.young_projector(t21, 2, size_cap=size_cap))
-    want = oracle.schur_weyl_projector((2, 1), 2, size_cap=size_cap) * Fraction(1, dim_sym((2, 1)))
+    avg = oracle.symmetric_average(oracle.young_projector(t21, 2))
+    want = oracle.schur_weyl_projector((2, 1), 2) * Fraction(1, dim_sym((2, 1)))
     yield ("average is the block state", t21, 2), avg.same_as(want)
 
 
 @_tallied
-def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> Cases:
+def check_twirl_projection_oracle(*, seed: int) -> Cases:
     """For diagonal states the dense block projections of sigma^(x k) match
     the twirled-power weights exactly."""
     rng = random.Random(seed)
@@ -510,35 +512,35 @@ def check_twirl_projection_oracle(*, seed: int, size_cap: int | None) -> Cases:
 
 
 @_tallied
-def check_general_dual_oracle(*, seed: int, size_cap: int | None) -> Cases:
+def check_general_dual_oracle(*, seed: int) -> Cases:
     """Single-irrep states of shape (2,1): bound, remainder positivity and
     monotone approach to fully mixed over the q sweep."""
     t21 = oracle.first_standard_tableau((2, 1))
     deltas = []
     for q in range(3, 7):
-        rep = oracle.verify_general_dual(t21, 2, q, size_cap=size_cap)
+        rep = oracle.verify_general_dual(t21, 2, q)
         deltas.append(rep["delta"])
         yield (t21, 2, q), rep["pass"]
     yield ("distance falls as q grows", t21, 2), all(a > b for a, b in zip(deltas, deltas[1:]))
     t2 = oracle.first_standard_tableau((2,))
-    yield (t2, 2, 3), oracle.verify_general_dual(t2, 2, 3, size_cap=size_cap)["pass"]
+    yield (t2, 2, 3), oracle.verify_general_dual(t2, 2, 3)["pass"]
 
 
 @_tallied
-def check_trace_norm_paths(*, seed: int, size_cap: int | None) -> Cases:
+def check_trace_norm_paths(*, seed: int) -> Cases:
     """Float trace norm agrees with the exact weight-difference norm for
     operators diagonal in the duality basis."""
     for lam in partitions_of(2, 4):
-        red = oracle.werner_combination(dual_trace(lam, 2, 2), size_cap=size_cap)
-        mixed = oracle.werner_combination(fully_mixed(2, 2), size_cap=size_cap)
+        red = oracle.werner_combination(dual_trace(lam, 2, 2))
+        mixed = oracle.werner_combination(fully_mixed(2, 2))
         exact = trace_distance(dual_trace(lam, 2, 2), fully_mixed(2, 2))
         yield (lam, 2, 2), abs(oracle.trace_norm(red - mixed) - float(exact)) <= 1e-9
-    proj = oracle.schur_weyl_projector((2,), 2, size_cap=size_cap)
+    proj = oracle.schur_weyl_projector((2,), 2)
     yield ("projector", (2,), 2), abs(oracle.trace_norm(proj) - float(proj.trace())) <= 1e-9
 
 
 @_tallied
-def check_partial_trace_rules(*, seed: int, size_cap: int | None) -> Cases:
+def check_partial_trace_rules(*, seed: int) -> Cases:
     """Product states reduce factor-wise and traces are preserved."""
     a = np.empty((2, 2), dtype=object)
     a[:] = [[2, 1], [1, 3]]
@@ -599,12 +601,12 @@ ORACLE = {
 SUITES = {"formulas": FORMULAS, "bounds": BOUNDS, "oracle": ORACLE}
 
 
-def _run(name: str, check, seed: int = 0, size_cap: int | None = None) -> dict:
+def _run(name: str, check, seed: int = 0) -> dict:
     """The report of one check under its registry name.  A crash inside a
     check is a failed check, not a crashed suite.  Size-cap errors do
     propagate: they are a resource condition, not a verification verdict."""
     try:
-        return {"check": name, **check(seed=seed, size_cap=size_cap)}
+        return {"check": name, **check(seed=seed)}
     except SizeCapError:
         raise
     except Exception as exc:
@@ -612,7 +614,7 @@ def _run(name: str, check, seed: int = 0, size_cap: int | None = None) -> dict:
                 "pass": False}
 
 
-def run_suite(suite: str, size_cap: int | None = None, seed: int = 0) -> list[dict]:
+def run_suite(suite: str, seed: int = 0) -> list[dict]:
     """Run one of formulas | bounds | oracle | all; returns the report list."""
     if suite == "all":
         registries = list(SUITES.values())
@@ -620,5 +622,5 @@ def run_suite(suite: str, size_cap: int | None = None, seed: int = 0) -> list[di
         registries = [SUITES[suite]]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [_run(name, check, seed, size_cap)
+    return [_run(name, check, seed)
             for registry in registries for name, check in registry.items()]

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schurweyl import characters
-from schurweyl.cli import RunConfig, load_config, main
+from schurweyl.cli import FORMATS, load_config, main
+from schurweyl.errors import size_cap
+from schurweyl.partitions import partitions_of
 from schurweyl.werner import IntPolynomial
 
 GOLDEN = Path(__file__).parent / "data" / "table5_golden.txt"
@@ -131,6 +137,9 @@ def test_usage_errors(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "must be integers" in err and "Traceback" not in err
+    assert main(["twirl", '["1/0"]', "2"]) == 2  # a spectrum entry that divides by zero
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
@@ -157,9 +166,10 @@ def test_size_cap_exit_code(capsys):
     from schurweyl.errors import SizeCapError
     from schurweyl.oracle import permutation_operator
 
-    with pytest.raises(SizeCapError):
-        permutation_operator((0, 1, 2, 3), 3, size_cap=64)
+    with size_cap(64), pytest.raises(SizeCapError):
+        permutation_operator((0, 1, 2, 3), 3)
     assert main(["--size-cap", "60", "verify", "bounds"]) == 2  # cap below floor
+    assert main(["--size-cap", "60", "table5"]) == 2  # checked for every command
     assert main(["--size-cap", "64", "verify", "oracle"]) == 3  # checks need 81
 
 
@@ -179,20 +189,31 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_out_file_in_missing_directory(tmp_path, capsys):
+    code = main(["--out", str(tmp_path / "missing" / "x.txt"), "table5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nsize_cap=128\nformat=json\nseed=5\n")
-    assert load_config(str(cfg)) == {"size_cap": 128, "output_format": "json", "seed": 5}
+    assert load_config(str(cfg)) == {"size_cap": 128, "format": "json", "seed": 5}
     code, out = run_cli(capsys, "--config", str(cfg), "bound", "--dual", "2", "1000")
     data = json.loads(out)
     assert data["num"] == 1999 and data["den"] == 500000
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense\n")
-    assert main(["--config", str(bad), "table5"]) == 2
-    with pytest.raises(ValueError):
-        RunConfig(size_cap=32)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
+    # a flag wins over the file
+    code, out = run_cli(capsys, "--format", "plain", "--config", str(cfg),
+                        "bound", "--dual", "2", "4")
+    assert (code, out) == (0, "7/8 (0.875)\n")
+    for text in ("nonsense\n", "size_cap=32\n", "format=xml\n"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "table5"]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_bounds_suite_passes(capsys):
@@ -219,3 +240,60 @@ def test_verify_detects_poisoned_character(capsys):
         assert failed["character-orthogonality"]["counterexample"] == 3
     finally:
         characters.clear_character_cache()
+
+
+# --- the exit-code contract over a bounded argv grammar --------------------
+
+_PARTITIONS = [json.dumps(list(lam)) for n in range(7) for lam in partitions_of(n)]
+_BAD_PARTITIONS = ["[2,1", "[true]", "[2.5]", "[-1]", "[0]", "[1,2]", "[[1]]", "null", '"3"',
+                   "{}", "[1e400]", ""]
+partition = st.sampled_from(_PARTITIONS) | st.sampled_from(_BAD_PARTITIONS)
+small_int = st.integers(-2, 7).map(str) | st.sampled_from(["x", "1.5", "true", ""])
+spectrum = (st.lists(st.sampled_from(['"1/2"', '"1/3"', '"2/3"', "1", "0", "-1", '"1/0"',
+                                      "0.5", "true", "null", '"a"']),
+                     min_size=0, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]")
+            | st.sampled_from(["not json", "1", "{}", '"1/2"']))
+_COMMANDS = {
+    "chi-poly": st.tuples(partition, partition),
+    "table5": st.just(()),
+    "lr": st.tuples(partition, partition, partition),
+    "kron": st.tuples(partition, partition, partition),
+    "trace": st.tuples(partition, st.sampled_from(["--sym", "--dual"]), small_int, small_int),
+    "twirl": st.tuples(spectrum, small_int),
+    "dual-twirl": st.tuples(partition, small_int),
+    "bound": st.tuples(st.sampled_from(["--sym", "--dual"]), small_int, small_int),
+    "dof": st.tuples(small_int, small_int, st.sampled_from(["werner", "symmetric", "other"])
+                     .map(lambda kind: f"--kind={kind}")),
+    "qplus": st.tuples(partition, partition),
+    "horn": st.tuples(partition, partition),
+    "chartable": st.tuples(small_int),
+    "verify": st.tuples(st.sampled_from(["bogus", "", "ALL"])),  # never a real suite
+}
+command = st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda name: _COMMANDS[name].map(lambda args: [name, *args]))
+global_flags = st.lists(st.sampled_from([
+    ["--format", fmt] for fmt in (*FORMATS, "xml")] + [
+    ["--size-cap", cap] for cap in ("-1", "0", "60", "63", "64", "65", "4096", "x")] + [
+    ["--seed", seed] for seed in ("0", "-3", "x")] + [
+    ["--out", "MISSING"], ["--out", "FILE"]]), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(global_flags, command)
+@example([["--out", "MISSING"]], ["table5"])
+@example([], ["twirl", '["1/0"]', "2"])
+def test_every_argv_exits_with_a_contract_code(flags, cmd):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"MISSING": os.path.join(tmp, "missing", "out.txt"),
+                 "FILE": os.path.join(tmp, "out.txt")}
+        argv = [paths.get(arg, arg) for flag in flags for arg in flag] + cmd
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -22,6 +22,7 @@ ALGEBRAIC_ARGV = [
     ["twirl", '["2/3","1/3"]', "3"],
     ["dof", "4", "3", "--kind", "symmetric"],
     ["bound", "--dual", "2", "4"],
+    ["--size-cap", "128", "trace", "[2,1]", "--sym", "2", "2"],  # entering the cap needs no numpy
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from schurweyl import oracle
 from schurweyl.characters import dim_sym, dim_unitary, mn_character
-from schurweyl.errors import SizeCapError
+from schurweyl.errors import DEFAULT_SIZE_CAP, SizeCapError, current_size_cap, size_cap
 from schurweyl.oracle import (
     DenseOperator,
     check_standard_tableau,
@@ -61,11 +61,16 @@ def test_permutation_operators_compose():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapError):
-        permutation_operator((0, 1, 2), 5, size_cap=64)
+    with size_cap(64):
+        with pytest.raises(SizeCapError):
+            permutation_operator((0, 1, 2), 5)
+        permutation_operator((0, 1, 2), 4)
+    permutation_operator((0, 1, 2), 5)  # the default cap is back outside the block
     with pytest.raises(ValueError):
-        permutation_operator((0, 1), 2, size_cap=32)
-    permutation_operator((0, 1, 2), 4, size_cap=64)
+        with size_cap(32):
+            pass
+    with size_cap(None):
+        assert current_size_cap() == DEFAULT_SIZE_CAP
 
 
 def test_constructors_reject_nonpositive_d(monkeypatch):
@@ -192,10 +197,11 @@ def test_young_projector_matches_the_spectral_reference():
 
 
 def test_young_projector_size_cap():
-    for t in standard_tableaux((2, 1)):
-        with pytest.raises(SizeCapError):
-            young_projector(t, 5, size_cap=64)
-    young_projector(first_standard_tableau((2, 1)), 4, size_cap=64)
+    with size_cap(64):
+        for t in standard_tableaux((2, 1)):
+            with pytest.raises(SizeCapError):
+                young_projector(t, 5)
+        young_projector(first_standard_tableau((2, 1)), 4)
 
 
 def test_young_projector_row_and_column_tableaux():
@@ -346,7 +352,7 @@ def _projector_weights(m):
 
 def test_measurements_match_literal_index_sums():
     rng = random.Random(8)
-    spaces = ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
+    spaces = ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
     for m in (_random_operator(rng, n, d, sym) for n, d in spaces for sym in (False, True)):
         n, d, dim = m.n, m.base, m.dim
         for keep in range(1, n + 1):

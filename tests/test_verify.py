@@ -37,7 +37,7 @@ def test_suite_rejects_unknown_name():
         verify.run_suite("nonsense")
 
 
-def _boom(*, seed, size_cap):
+def _boom(*, seed):
     raise RuntimeError("boom")
 
 

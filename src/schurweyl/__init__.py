@@ -6,7 +6,13 @@ arithmetic throughout; the oracle layer rebuilds the same quantities as
 literal matrices on small tensor powers and re-measures them.
 """
 
-from .characters import dim_sym, dim_unitary, dim_unitary_charsum, mn_character
+from .characters import (
+    character_row,
+    dim_sym,
+    dim_unitary,
+    dim_unitary_charsum,
+    mn_character,
+)
 from .coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -79,6 +85,7 @@ __all__ = [
     "branching_sum_kron",
     "branching_sum_lr",
     "character_polynomial",
+    "character_row",
     "class_size",
     "conjugate",
     "contains",

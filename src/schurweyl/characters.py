@@ -8,15 +8,27 @@ exact integer arithmetic.
 
 The memo cache is a plain module-level dict.  Reads and writes are atomic
 under the GIL; a duplicated concurrent computation of the same entry is
-harmless because entries are idempotent.
+harmless because entries are idempotent.  On top of it sits the row memo:
+character_row(lam) is chi^lam on every class in partitions_of(|lam|) order,
+read once from the dict, so a full class sum is a zip of rows with
+partitions.class_sizes instead of one mn_character call per class.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .errors import ConsistencyError
-from .partitions import Partition, class_size, hooks, partitions_of, rows
+from .partitions import (
+    Partition,
+    as_cycle_type,
+    as_partition,
+    class_sizes,
+    hooks,
+    partitions_of,
+    rows,
+)
 
 # (lambda, alpha) -> chi^lambda(alpha); exposed so tests can poison it
 _char_cache: dict[tuple[Partition, Partition], int] = {}
@@ -27,6 +39,7 @@ def clear_character_cache() -> None:
     from .werner import _chi_poly  # werner imports this module
 
     _char_cache.clear()
+    _character_row.cache_clear()
     _chi_poly.cache_clear()
 
 
@@ -53,13 +66,32 @@ def mn_character(lam: Partition, alpha: Partition) -> int:
     """chi^lambda(alpha) for |lambda| = |alpha|, by border-strip recursion.
 
     Strips are removed for the parts of alpha from largest to smallest; the
-    value does not depend on that order, only the memo fill does.
+    value does not depend on that order, only the memo fill does.  lambda
+    must be a partition (trailing zeros are dropped) and alpha may list its
+    cycle lengths in any order; anything else raises ValueError.
     """
+    lam, alpha = as_partition(lam), as_cycle_type(alpha)
     if sum(lam) != sum(alpha):
         raise ValueError(
             f"box counts differ: |{lam}| = {sum(lam)}, |{alpha}| = {sum(alpha)}"
         )
-    return _mn(tuple(lam), tuple(alpha))
+    return _mn(lam, alpha)
+
+
+def character_row(lam: Partition) -> tuple[int, ...]:
+    """chi^lambda on every class of S_|lambda|, in partitions_of(|lambda|) order.
+
+    Memoised on the canonical partition and read from the same
+    Murnaghan-Nakayama memo as mn_character; clear_character_cache drops it.
+    Zipped with partitions.class_sizes(n), it turns every class-weighted
+    character sum into a row product.
+    """
+    return _character_row(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _character_row(lam: Partition) -> tuple[int, ...]:
+    return tuple(_mn(lam, alpha) for alpha in partitions_of(sum(lam)))
 
 
 def _mn(lam: Partition, alpha: Partition) -> int:
@@ -114,8 +146,8 @@ def dim_unitary_charsum(lam: Partition, d: int) -> int:
     """
     n = sum(lam)
     total = sum(
-        class_size(alpha) * d ** rows(alpha) * mn_character(lam, alpha)
-        for alpha in partitions_of(n)
+        h * d ** rows(alpha) * chi
+        for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))
     )
     q, r = divmod(total, factorial(n))
     if r:

@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .characters import mn_character
+from .characters import character_row
 from .coefficients import kronecker, littlewood_richardson
 from .errors import DEFAULT_SIZE_CAP, SizeCapError, size_cap
 from .partitions import conjugate, format_partition, parse_partition, partitions_of
@@ -245,7 +245,7 @@ def cmd_horn(args) -> tuple[str, int]:
 
 def cmd_chartable(args) -> tuple[str, int]:
     parts = partitions_of(args.n)
-    rows = {lam: [mn_character(lam, alpha) for alpha in parts] for lam in parts}
+    rows = {lam: character_row(lam) for lam in parts}
     if args.format == "json":
         data = {
             "n": args.n,

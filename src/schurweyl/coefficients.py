@@ -6,8 +6,11 @@ so that one can cross-validate the other:
 
 * c^lambda_{mu nu}: lattice-word tableau enumeration (primary) and an
   induced-character inner product over S_k x S_{n-k} (secondary).
-* g_{lambda mu nu}: class-weighted triple character sum; validated against
-  its permutation symmetries and the dense tensor oracle elsewhere.
+* g_{lambda mu nu}: a row product, sum_alpha h_alpha chi^lambda(alpha)
+  chi^mu(alpha) chi^nu(alpha) / n!, zipping the three memoised character
+  rows with the class sizes; validated against its permutation symmetries,
+  a literal per-class sum of mn_character values in the tests, and the
+  dense tensor oracle elsewhere.
 * f^{lambda/mu}: Aitken's determinant and the brute-force chain count
   partitions.skew_standard_count.  No production path consumes dim_skew:
   the subsystem trace goes through shifted Schur values, and dim_skew is
@@ -18,10 +21,18 @@ so that one can cross-validate the other:
 from __future__ import annotations
 
 from math import factorial, prod
+from operator import mul
 
-from .characters import dim_sym, dim_unitary, mn_character
+from .characters import _character_row, character_row, dim_sym, dim_unitary
 from .errors import ConsistencyError
-from .partitions import Partition, class_size, conjugate, contains, partitions_of
+from .partitions import (
+    Partition,
+    as_partition,
+    class_sizes,
+    conjugate,
+    contains,
+    partitions_of,
+)
 from .symfunc import _det, falling_factorial
 
 
@@ -81,18 +92,16 @@ def littlewood_richardson_char(lam: Partition, mu: Partition, nu: Partition) -> 
     n, k, m = sum(lam), sum(mu), sum(nu)
     if k + m != n:
         return 0
+    chi_lam = dict(zip(partitions_of(n), character_row(lam)))
     total = 0
-    for beta in partitions_of(k):
-        hb = class_size(beta)
-        cb = mn_character(mu, beta)
+    for beta, hb, cb in zip(partitions_of(k), class_sizes(k), character_row(mu)):
         if cb == 0:
             continue
-        for gamma in partitions_of(m):
-            cg = mn_character(nu, gamma)
+        for gamma, hg, cg in zip(partitions_of(m), class_sizes(m), character_row(nu)):
             if cg == 0:
                 continue
             joined = tuple(sorted(beta + gamma, reverse=True))
-            total += hb * class_size(gamma) * cb * cg * mn_character(lam, joined)
+            total += hb * hg * cb * cg * chi_lam[joined]
     q, r = divmod(total, factorial(k) * factorial(m))
     if r:
         raise ConsistencyError("induced-character inner product is not an integer")
@@ -100,14 +109,22 @@ def littlewood_richardson_char(lam: Partition, mu: Partition, nu: Partition) -> 
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """g_{lambda mu nu} = (1/n!) sum_alpha h_alpha chi^l chi^m chi^n, exact."""
+    """g_{lambda mu nu} = (1/n!) sum_alpha h_alpha chi^l chi^m chi^n, exact.
+
+    The arguments are canonicalised first; the sum is a product of the three
+    class-ordered character rows with the class sizes.
+    """
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("Kronecker coefficients need equal box counts")
-    total = sum(
-        class_size(a) * mn_character(lam, a) * mn_character(mu, a) * mn_character(nu, a)
-        for a in partitions_of(n)
-    )
+    return _kronecker(lam, mu, nu, n)
+
+
+def _kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
+    """kronecker on canonical partitions of n, unchecked."""
+    total = sum(map(mul, map(mul, class_sizes(n), _character_row(lam)),
+                    map(mul, _character_row(mu), _character_row(nu))))
     q, r = divmod(total, factorial(n))
     if r:
         raise ConsistencyError("character triple sum is not divisible by n!")
@@ -130,11 +147,12 @@ def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
 
 def branching_sum_kron(lam: Partition, mu: Partition, q: int) -> int:
     """sum over nu in Par(n, q) of g_{lambda mu nu} e^q_nu."""
+    lam, mu = as_partition(lam), as_partition(mu)
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError("branching sum needs equal box counts")
     return sum(
-        kronecker(lam, mu, nu) * e
+        _kronecker(lam, mu, nu, n) * e
         for nu in partitions_of(n, q)
         if (e := dim_unitary(nu, q))
     )

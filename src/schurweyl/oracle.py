@@ -46,12 +46,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, permutations
 from math import comb, factorial, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .characters import dim_sym, dim_unitary, mn_character
+from .characters import character_row, dim_sym, dim_unitary
 from .errors import SizeCapError, current_size_cap
 from .partitions import Partition, as_partition, partitions_of
 from .werner import WernerWeights, definetti_bound_dual
@@ -249,7 +249,7 @@ def schur_weyl_projector(lam: Partition, d: int) -> DenseOperator:
     _check_cap(d, n)  # before any group-algebra work
     f, den = dim_sym(lam), factorial(n)
     g = gcd(f, den)
-    chi = {alpha: f // g * mn_character(lam, alpha) for alpha in partitions_of(n)}
+    chi = {alpha: f // g * x for alpha, x in zip(partitions_of(n), character_row(lam))}
     return _represent(_class_sum(chi, n), d, n, den // g)
 
 
@@ -460,13 +460,13 @@ def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
     """
     n, d = m.n, m.base
     cols = np.arange(m.dim)
-    traces = dict.fromkeys(partitions_of(n), 0)
+    traces = dict.fromkeys(partitions_of(n), 0)  # class order, as in character_row
     typed = ((pi, cycle_type(pi)) for pi in permutations(range(n)))
     for alphas, targets in _index_maps(typed, d, n):
         for alpha, total in zip(alphas, m.mat[cols, targets].sum(axis=1)):
             traces[alpha] += total
     return {mu: m.scale * Fraction(dim_sym(mu), factorial(n))
-            * sum(mn_character(mu, alpha) * t for alpha, t in traces.items())
+            * sum(map(mul, character_row(mu), traces.values()))
             for mu in partitions_of(n, d)}
 
 
@@ -479,15 +479,14 @@ def werner_combination(w: WernerWeights) -> DenseOperator:
     n, d = w.n, w.d
     _check_cap(d, n)  # before any group-algebra work
     classes = partitions_of(n)
-    coeff = {alpha: Fraction(0) for alpha in classes}
+    coeff = [Fraction(0)] * len(classes)
     for mu, a in w.weights.items():
         if a == 0:
             continue
         unit = Fraction(a) / (dim_unitary(mu, d) * factorial(n))
-        for alpha in classes:
-            coeff[alpha] += unit * mn_character(mu, alpha)
-    den = lcm(*(c.denominator for c in coeff.values()))
-    values = {alpha: int(c * den) for alpha, c in coeff.items()}
+        coeff = [c + unit * x for c, x in zip(coeff, character_row(mu))]
+    den = lcm(*(c.denominator for c in coeff))
+    values = {alpha: int(c * den) for alpha, c in zip(classes, coeff)}
     return _represent(_class_sum(values, n), d, n, den)
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import index
+from operator import ge, index
 
 Partition = tuple[int, ...]
+
+_PLAIN_INT = frozenset((int,))  # exactly int: bool and numpy rows are not canonical
 
 
 def as_partition(parts) -> Partition:
@@ -22,7 +24,11 @@ def as_partition(parts) -> Partition:
     Raises ValueError unless the rows are weakly decreasing positive
     integers (trailing zeros are tolerated and trimmed).  A bool or a
     non-integral row is rejected, not rounded; numpy integers are accepted.
+    A tuple of plain ints that is already canonical, the common case in
+    every hot loop, is returned as it is instead of being rebuilt.
     """
+    if _canonical(parts):
+        return parts
     t = tuple(_row(p) for p in parts)
     while t and t[-1] == 0:
         t = t[:-1]
@@ -32,6 +38,23 @@ def as_partition(parts) -> Partition:
         if i + 1 < len(t) and t[i + 1] > p:
             raise ValueError(f"partition rows must be weakly decreasing, got {t}")
     return t
+
+
+def as_cycle_type(parts) -> Partition:
+    """Canonicalize a cycle type: integer parts in any order, zeros dropped.
+
+    The cycle lengths of a permutation form a multiset, so the parts are
+    sorted into a partition; ValueError as for as_partition otherwise.
+    """
+    if _canonical(parts):
+        return parts
+    return as_partition(sorted(map(_row, parts), reverse=True))
+
+
+def _canonical(parts) -> bool:
+    """True for a tuple of plain ints (no bools) that is already a trimmed partition."""
+    return type(parts) is tuple and _PLAIN_INT.issuperset(map(type, parts)) and (
+        not parts or parts[-1] > 0 and all(map(ge, parts, parts[1:])))
 
 
 def _row(p) -> int:
@@ -118,6 +141,12 @@ def _class_size(alpha: Partition) -> int:
     return factorial(sum(alpha)) // z
 
 
+@lru_cache(maxsize=None)
+def class_sizes(n: int) -> tuple[int, ...]:
+    """h_alpha for every alpha in partitions_of(n), in that order (memoised)."""
+    return tuple(_class_size(alpha) for alpha in partitions_of(n))
+
+
 def skew_standard_count(outer: Partition, inner: Partition) -> int:
     """Number of standard fillings of the skew diagram outer/inner.
 
@@ -153,13 +182,21 @@ def skew_standard_count(outer: Partition, inner: Partition) -> int:
     return grow(start)
 
 
-def hooks(lam: Partition) -> list[list[int]]:
-    """Hook lengths per box: arm + leg + 1."""
+def hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """Hook lengths per box: arm + leg + 1.
+
+    Memoised; rows are tuples, so a caller cannot corrupt the memo.
+    """
+    return _hooks(tuple(lam))
+
+
+@lru_cache(maxsize=None)
+def _hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:
     conj = conjugate(lam)
-    return [
-        [lam[i] - (j + 1) + conj[j] - i for j in range(lam[i])]
+    return tuple(
+        tuple(lam[i] - (j + 1) + conj[j] - i for j in range(lam[i]))
         for i in range(len(lam))
-    ]
+    )
 
 
 def normalized(lam: Partition) -> tuple[Fraction, ...]:

@@ -16,12 +16,12 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .characters import dim_sym, dim_unitary, mn_character
+from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
     as_partition,
-    class_size,
+    class_sizes,
     conjugate,
     contains,
     partitions_of,
@@ -137,9 +137,9 @@ def _weights_on(n: int, d: int, value, total=1,
 def _chi_poly(lam: Partition, mu: Partition) -> IntPolynomial:
     n = sum(lam)
     coeffs = [0] * (n + 1)
-    for alpha in partitions_of(n):
-        term = class_size(alpha) * mn_character(lam, alpha) * mn_character(mu, alpha)
-        coeffs[rows(alpha)] += term
+    for alpha, h, a, b in zip(partitions_of(n), class_sizes(n),
+                              character_row(lam), character_row(mu)):
+        coeffs[rows(alpha)] += h * a * b
     return IntPolynomial(coeffs)
 
 
@@ -298,10 +298,8 @@ def cycle_sum_expansion(lam: Partition, p: int, q: int) -> dict[Partition, Fract
         raise ValueError(f"{lam} has more than {p * q} rows")
     denom = factorial(n) * dim_unitary(lam, p * q)
     return {
-        alpha: Fraction(
-            p**n * class_size(alpha) * q ** rows(alpha) * mn_character(lam, alpha), denom
-        )
-        for alpha in partitions_of(n)
+        alpha: Fraction(p**n * h * q ** rows(alpha) * chi, denom)
+        for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))
     }
 
 

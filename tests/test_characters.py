@@ -4,12 +4,14 @@ import pytest
 
 from schurweyl import characters
 from schurweyl.characters import (
+    character_row,
     clear_character_cache,
     dim_sym,
     dim_unitary,
     dim_unitary_charsum,
     mn_character,
 )
+from schurweyl.coefficients import kronecker
 from schurweyl.partitions import partitions_of, rows
 from schurweyl.werner import character_polynomial
 
@@ -31,6 +33,18 @@ def test_standard_representation_values():
 def test_mismatched_sizes_raise():
     with pytest.raises(ValueError):
         mn_character((2, 1), (2, 2))
+
+
+def test_arguments_are_canonicalised():
+    assert mn_character((2, 1), (1, 1, 1, 0)) == 2  # trailing zero dropped
+    assert mn_character((3,), (0, 3)) == 1  # a cycle type lists its parts in any order
+    assert mn_character((3, 1), [1, 2, 1]) == mn_character((3, 1), (2, 1, 1)) == 1
+    assert mn_character((2, 1, 0), (3,)) == -1
+    with pytest.raises(ValueError):
+        mn_character((1, 2), (3,))  # not a partition
+    with pytest.raises(ValueError):
+        mn_character((3,), (True, 2))
+    assert character_row([2, 1, 0]) is character_row((2, 1))
 
 
 def test_dim_sym_examples():
@@ -96,4 +110,20 @@ def test_clearing_the_cache_drops_polynomials_built_from_it():
         assert character_polynomial((2, 1), (2, 1)).coeffs != [0, 2, 0, 4]  # poisoned
     finally:
         clear_character_cache()
+    assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 4]
+
+
+def test_clearing_the_cache_drops_character_rows():
+    assert character_row((2, 1)) == (-1, 0, 2)
+    clear_character_cache()
+    characters._char_cache[((2, 1), (1, 1, 1))] = 8
+    try:
+        assert character_row((2, 1)) == (-1, 0, 8)
+        # (2 * (-1)^3 + 8^3) / 3! = 85; the true row gives 1
+        assert kronecker((2, 1), (2, 1), (2, 1)) == 85
+        assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 64]
+    finally:
+        clear_character_cache()
+    assert character_row((2, 1)) == (-1, 0, 2)
+    assert kronecker((2, 1), (2, 1), (2, 1)) == 1
     assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 4]

@@ -1,9 +1,10 @@
-from math import comb
+import random
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurweyl.characters import dim_sym
+from schurweyl.characters import character_row, dim_sym, mn_character
 from schurweyl.coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -11,7 +12,13 @@ from schurweyl.coefficients import (
     kronecker,
     littlewood_richardson,
 )
-from schurweyl.partitions import conjugate, contains, partitions_of, skew_standard_count
+from schurweyl.partitions import (
+    class_size,
+    conjugate,
+    contains,
+    partitions_of,
+    skew_standard_count,
+)
 
 
 def test_lr_examples():
@@ -48,6 +55,46 @@ def test_kronecker_examples():
         assert kronecker((1,) * n, (1,) * n, (n,)) == 1
     with pytest.raises(ValueError):
         kronecker((2,), (1,), (2,))
+
+
+def _class_sum_kronecker(lam, mu, nu):
+    """g by the literal per-class sum over mn_character, no character rows."""
+    n = sum(lam)
+    total = sum(class_size(a) * mn_character(lam, a) * mn_character(mu, a) * mn_character(nu, a)
+                for a in partitions_of(n))
+    g, r = divmod(total, factorial(n))
+    assert r == 0
+    return g
+
+
+def test_kronecker_equals_the_literal_class_sum():
+    for n in range(7):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    assert kronecker(lam, mu, nu) == _class_sum_kronecker(lam, mu, nu)
+    rng = random.Random(10)
+    for n in (10, 11, 12):
+        parts = partitions_of(n)
+        for _ in range(12):
+            triple = rng.choices(parts, k=3)
+            assert kronecker(*triple) == _class_sum_kronecker(*triple)
+
+
+def test_character_rows_follow_the_class_order():
+    for n in range(9):
+        classes = partitions_of(n)
+        for lam in classes:
+            assert character_row(lam) == tuple(mn_character(lam, a) for a in classes)
+
+
+def test_kronecker_canonicalises_its_arguments():
+    assert kronecker((2, 1, 0), [2, 1], (3, 0, 0)) == 1
+    with pytest.raises(ValueError):
+        kronecker((1, 2), (2, 1), (3,))
+    with pytest.raises(ValueError):
+        branching_sum_kron((1, 2), (2, 1), 2)
 
 
 def test_kronecker_permutation_symmetry(check_passes):

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurweyl.partitions import (
+    as_cycle_type,
     as_partition,
     class_size,
+    class_sizes,
     conjugate,
     contains,
     format_partition,
+    hooks,
     normalized,
     parse_partition,
     partitions_of,
@@ -125,6 +128,15 @@ def test_as_partition_validation():
         with pytest.raises(ValueError):
             as_partition(rows)
     assert as_partition([np.int64(2), np.int8(1)]) == (2, 1)
+    # tuples take a shortcut when already canonical; it must not admit more
+    for rows in ((True, 1), (2, 1.0), (1, 2), (0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            as_partition(rows)
+    lam = (3, 2, 2)
+    assert as_partition(lam) is lam and as_partition(()) == ()
+    assert as_partition((2, 0)) == (2,) and as_partition((0,)) == ()
+    assert as_partition((np.int64(2), 1, 0)) == (2, 1)
+    assert all(type(p) is int for p in as_partition((np.int64(2), 1)))
 
 
 def test_parse_format_roundtrip():
@@ -145,3 +157,24 @@ def test_normalized():
     assert normalized((2, 1)) == (Fraction(2, 3), Fraction(1, 3))
     with pytest.raises(ValueError):
         normalized(())
+
+
+def test_hooks_are_memoised_tuples():
+    assert hooks((3, 1)) == ((4, 2, 1), (1,))
+    assert hooks([3, 1]) is hooks((3, 1))
+    assert hooks(()) == ()
+
+
+def test_class_sizes_follow_the_class_order():
+    for n in range(9):
+        assert class_sizes(n) == tuple(class_size(a) for a in partitions_of(n))
+    with pytest.raises(ValueError):
+        class_sizes(-1)
+
+
+def test_cycle_types_are_canonicalised():
+    assert as_cycle_type([1, 3, 0, 2]) == (3, 2, 1)
+    assert as_cycle_type(()) == ()
+    for bad in ([True, 1], [2, -1], ["a", 1], [1.5]):
+        with pytest.raises(ValueError):
+            as_cycle_type(bad)

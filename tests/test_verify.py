@@ -1,10 +1,12 @@
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from schurweyl import characters, verify
+from schurweyl.coefficients import kronecker
 from schurweyl.partitions import partitions_of
 
 NAMES = [name for registry in verify.SUITES.values() for name in registry]
@@ -89,13 +91,27 @@ def test_every_check_call_goes_through_a_rebindable_binding(monkeypatch):
 
 def test_character_cache_tolerates_concurrent_use():
     characters.clear_character_cache()
-    jobs = [(lam, alpha) for lam in partitions_of(6) for alpha in partitions_of(6)]
+    parts = partitions_of(6)
+    jobs = [(lam, alpha) for lam in parts for alpha in parts]
+    triples = [(lam, mu, nu) for lam in parts for mu in parts for nu in parts[::2]]
 
     def work(pair):
         return characters.mn_character(*pair)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(work, jobs * 4))
+    def couple(triple):
+        return kronecker(*triple)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo fills
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(work, jobs * 4))
+            characters.clear_character_cache()
+            threaded_kron = list(pool.map(couple, triples * 2))
+    finally:
+        sys.setswitchinterval(interval)
     characters.clear_character_cache()
     serial = [characters.mn_character(*pair) for pair in jobs * 4]
+    serial_kron = [kronecker(*triple) for triple in triples * 2]
     assert threaded == serial
+    assert threaded_kron == serial_kron

@@ -1,17 +1,24 @@
 """Irreducible characters of the symmetric group and the two dimension counts.
 
-Characters are computed by the Murnaghan-Nakayama rule, i.e. recursive
-border-strip removal, phrased on beta-sets (first-column hook lengths):
-removing a strip of length t from lambda is moving one beta entry down by t,
-and the sign is (-1)^(number of entries jumped over).  Everything here is
-exact integer arithmetic.
+Characters are computed by the Murnaghan-Nakayama rule on the abacus.  The
+beta-set of lambda (first-column hook lengths lambda_i + l - 1 - i) is held
+as an int bitmask.  Removing a border strip of length t moves one set bit b
+down to a free position b - t, and its sign is (-1) to the popcount of the
+bits strictly between them.  Trailing ones are empty rows and are shifted
+off, so each diagram has one mask.  Once the remaining cycle type is all
+ones the recursion stops at chi^mu(1^m) = f_mu from the hook formula, so
+its depth is the number of parts >= 2.  Everything here is exact integer
+arithmetic.
 
-The memo cache is a plain module-level dict.  Reads and writes are atomic
-under the GIL; a duplicated concurrent computation of the same entry is
-harmless because entries are idempotent.  On top of it sits the row memo:
-character_row(lam) is chi^lam on every class in partitions_of(|lam|) order,
-read once from the dict, so a full class sum is a zip of rows with
-partitions.class_sizes instead of one mn_character call per class.
+The memo is a plain module-level dict keyed by (mask, alpha suffix), one
+entry per recursion state.  Public reads look up (lambda, alpha) first, so
+a value put in under that key is what every row and sum sees.  Reads and
+writes are atomic under the GIL; a duplicated concurrent computation of the
+same entry is harmless because entries are idempotent.  On top of it sits
+the row memo: character_row(lam) is chi^lam on every class in
+partitions_of(|lam|) order, read once from the dict, so a full class sum is
+a zip of rows with partitions.class_sizes instead of one mn_character call
+per class.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from .partitions import (
     rows,
 )
 
-# (lambda, alpha) -> chi^lambda(alpha); exposed so tests can poison it
-_char_cache: dict[tuple[Partition, Partition], int] = {}
+# chi values: (beta-set mask, alpha suffix) for recursion states, and
+# (lambda, alpha) for values a caller puts in; exposed so tests can poison it
+_char_cache: dict[tuple, int] = {}
 
 
 def clear_character_cache() -> None:
@@ -41,25 +49,6 @@ def clear_character_cache() -> None:
     _char_cache.clear()
     _character_row.cache_clear()
     _chi_poly.cache_clear()
-
-
-def _strip_removals(lam: Partition, t: int):
-    """Yield (sign, smaller partition) for each border strip of length t."""
-    L = len(lam)
-    beta = [lam[i] + (L - 1 - i) for i in range(L)]  # strictly decreasing
-    bset = set(beta)
-    for i, b in enumerate(beta):
-        c = b - t
-        if c < 0 or c in bset:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        nb = sorted((x for x in beta if x != b), reverse=True)
-        nb.append(c)
-        nb.sort(reverse=True)
-        mu = tuple(nb[j] - (L - 1 - j) for j in range(L))
-        while mu and mu[-1] == 0:
-            mu = mu[:-1]
-        yield (-1) ** height, mu
 
 
 def mn_character(lam: Partition, alpha: Partition) -> int:
@@ -75,7 +64,8 @@ def mn_character(lam: Partition, alpha: Partition) -> int:
         raise ValueError(
             f"box counts differ: |{lam}| = {sum(lam)}, |{alpha}| = {sum(alpha)}"
         )
-    return _mn(lam, alpha)
+    val = _char_cache.get((lam, alpha))
+    return _mn(_beta_set(lam), alpha) if val is None else val
 
 
 def character_row(lam: Partition) -> tuple[int, ...]:
@@ -91,19 +81,55 @@ def character_row(lam: Partition) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _character_row(lam: Partition) -> tuple[int, ...]:
-    return tuple(_mn(lam, alpha) for alpha in partitions_of(sum(lam)))
+    mask, get = _beta_set(lam), _char_cache.get
+    return tuple(_mn(mask, alpha) if (val := get((lam, alpha))) is None else val
+                 for alpha in partitions_of(sum(lam)))
 
 
-def _mn(lam: Partition, alpha: Partition) -> int:
-    if not alpha:
-        return 1
-    key = (lam, alpha)
+def _beta_set(lam: Partition) -> int:
+    """The beta-set of a partition as a bitmask: bit lam_i + (l - 1 - i) per row."""
+    mask = 0
+    for below, part in enumerate(reversed(lam)):
+        mask |= 1 << (part + below)
+    return mask
+
+
+def _mn(mask: int, alpha: Partition) -> int:
+    key = (mask, alpha)
     val = _char_cache.get(key)
     if val is None:
-        t, rest = alpha[0], alpha[1:]
-        val = sum(sign * _mn(mu, rest) for sign, mu in _strip_removals(lam, t))
+        t = alpha[0] if alpha else 1
+        if t == 1:  # chi^mu(1^m) = f_mu
+            val = dim_sym(_partition(mask))
+        else:
+            rest = alpha[1:]
+            val = 0
+            # bits b >= t whose target b - t is free
+            movable = mask & ~(mask << t) & -(1 << t)
+            while movable:
+                top = movable & -movable
+                movable ^= top
+                bottom = top >> t
+                smaller = mask ^ top ^ bottom
+                if smaller & 1:  # trailing ones are empty rows
+                    smaller >>= (smaller ^ (smaller + 1)).bit_length() - 1
+                # the sign is the parity of the bits strictly between b - t and b
+                if (mask & (top - 1) & -bottom).bit_count() & 1:
+                    val -= _mn(smaller, rest)
+                else:
+                    val += _mn(smaller, rest)
         _char_cache[key] = val
     return val
+
+
+def _partition(mask: int) -> Partition:
+    """Inverse of _beta_set on a mask whose bit 0 is clear."""
+    parts = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        parts.append(low.bit_length() - 1 - len(parts))
+    return tuple(reversed(parts))
 
 
 def dim_sym(lam: Partition) -> int:

@@ -10,7 +10,6 @@ rational arithmetic over Par(n, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -77,22 +76,35 @@ class IntPolynomial:
         return "".join(terms)
 
 
-@dataclass(frozen=True)
 class WernerWeights:
     """A weight vector over Par(n, d) in the normalized-projector basis.
 
     For states all weights are non-negative and sum to 1; symmetrised cycle
-    operators reuse the same container with is_state() False.
+    operators reuse the same container with is_state() False.  Immutable
+    attributes; equal vectors agree on every weight, and the hash is that
+    of (n, d).
     """
 
-    n: int
-    d: int
-    weights: dict[Partition, Fraction] = field(compare=False)
+    __slots__ = ("n", "d", "weights")
 
-    def __post_init__(self):
-        for mu in self.weights:
-            if rows(mu) > self.d or sum(mu) != self.n:
-                raise ValueError(f"{mu} is not in Par({self.n},{self.d})")
+    def __init__(self, n: int, d: int, weights: dict[Partition, Fraction]):
+        for mu in weights:
+            if rows(mu) > d or sum(mu) != n:
+                raise ValueError(f"{mu} is not in Par({n},{d})")
+        for name, value in (("n", n), ("d", d), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"WernerWeights(n={self.n!r}, d={self.d!r}, weights={self.weights!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
 
     def weight(self, mu: Partition) -> Fraction:
         return self.weights.get(as_partition(mu), Fraction(0))

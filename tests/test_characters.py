@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -12,7 +13,7 @@ from schurweyl.characters import (
     mn_character,
 )
 from schurweyl.coefficients import kronecker
-from schurweyl.partitions import partitions_of, rows
+from schurweyl.partitions import conjugate, partitions_of, rows
 from schurweyl.werner import character_polynomial
 
 
@@ -45,6 +46,65 @@ def test_arguments_are_canonicalised():
     with pytest.raises(ValueError):
         mn_character((3,), (True, 2))
     assert character_row([2, 1, 0]) is character_row((2, 1))
+
+
+@lru_cache(maxsize=None)
+def reference_character(lam, alpha):
+    """chi^lam(alpha) by border-strip removal on beta-sets held as lists.
+
+    Written independently of the bitmask recursion in schurweyl.characters,
+    down to the last part: no all-ones shortcut.
+    """
+    if not alpha:
+        return 1
+    t, rest = alpha[0], alpha[1:]
+    L = len(lam)
+    beta = [lam[i] + (L - 1 - i) for i in range(L)]
+    total = 0
+    for b in beta:
+        c = b - t
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
+        mu = tuple(x - (L - 1 - j) for j, x in enumerate(moved) if x - (L - 1 - j) > 0)
+        total += (-1) ** height * reference_character(mu, rest)
+    return total
+
+
+def test_characters_equal_the_list_based_reference():
+    clear_character_cache()
+    for n in range(12):
+        for lam in partitions_of(n):
+            for alpha in partitions_of(n):
+                assert mn_character(lam, alpha) == reference_character(lam, alpha), (lam, alpha)
+
+
+def test_characters_on_edge_masks_equal_the_reference():
+    clear_character_cache()
+    assert mn_character((), ()) == 1 and character_row(()) == (1,)
+    cases = [
+        # the strip takes the whole first column, or a whole leg, emptying rows
+        ((2, 1, 1), (3, 1)), ((1, 1, 1, 1), (4,)), ((2, 2, 1, 1), (4, 2)), ((3, 1, 1, 1), (4, 2)),
+        ((3, 3, 1, 1), (3, 3, 2)), ((4, 1, 1, 1, 1), (5, 3)), ((2, 2, 2), (3, 3)),
+    ]
+    n = 24
+    alphas = [(n,), (1,) * n, (2,) * 12, (5, 5, 4, 4, 3, 3), (7, 3, 2, 1, 1, 1) + (1,) * 9,
+              (23, 1), (12, 12), (3,) * 8]
+    for lam in [(n,), (1,) * n] + [(n - k,) + (1,) * k for k in range(1, n - 1)]:
+        cases += [(lam, alpha) for alpha in alphas]
+    for lam, alpha in cases:
+        assert mn_character(lam, alpha) == reference_character(lam, alpha), (lam, alpha)
+    # empty rows are shifted off: every beta-set mask in the memo has bit 0 clear
+    assert all(key[0] & 1 == 0 for key in characters._char_cache)
+
+
+def test_conjugate_characters_differ_by_the_sign():
+    for n in range(11):
+        signs = [(-1) ** (n - rows(alpha)) for alpha in partitions_of(n)]
+        for lam in partitions_of(n):
+            assert character_row(conjugate(lam)) == tuple(
+                s * chi for s, chi in zip(signs, character_row(lam)))
 
 
 def test_dim_sym_examples():

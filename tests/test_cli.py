@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -174,11 +175,17 @@ def test_size_cap_exit_code(capsys):
 
 
 def test_deep_inputs_hit_a_resource_limit(capsys):
-    # the LR filling recurses once per cell, the MN rule once per part
-    for argv in (["lr", "[1200]", "[100]", "[1100]"], ["dual-twirl", json.dumps([1] * 1000), "2"]):
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    # the LR filling recurses once per cell
+    assert main(["lr", "[1200]", "[100]", "[1100]"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deep_all_ones_cycle_type_answers(capsys):
+    # the MN recursion stops at an all-ones remainder, so fixed points cost no depth
+    code, out = run_cli(capsys, "--format", "json", "dual-twirl", json.dumps([1] * 1000), "2")
+    assert code == 0
+    assert sum(Fraction(num, den) for num, den in printed_weights(out).values()) == 1
 
 
 def test_out_file(tmp_path, capsys):

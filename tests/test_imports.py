@@ -33,12 +33,14 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_algebraic_commands_do_not_import_numpy():
+    # nor dataclasses, which loads inspect: start-up is paid by every cold process
     script = f"""
 import sys
 from schurweyl.cli import main
 for argv in {ALGEBRAIC_ARGV!r}:
     assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+    assert "dataclasses" not in sys.modules, argv
 """
     run = _python("-c", script)
     assert run.returncode == 0, run.stderr

@@ -11,14 +11,14 @@ its depth is the number of parts >= 2.  Everything here is exact integer
 arithmetic.
 
 The memo is a plain module-level dict keyed by (mask, alpha suffix), one
-entry per recursion state.  Public reads look up (lambda, alpha) first, so
-a value put in under that key is what every row and sum sees.  Reads and
-writes are atomic under the GIL; a duplicated concurrent computation of the
-same entry is harmless because entries are idempotent.  On top of it sits
-the row memo: character_row(lam) is chi^lam on every class in
-partitions_of(|lam|) order, read once from the dict, so a full class sum is
-a zip of rows with partitions.class_sizes instead of one mn_character call
-per class.
+entry per recursion state; chi^lambda(alpha) is read from the entry
+(_beta_set(lambda), alpha), so a value put in there is what every row and
+sum sees.  Reads and writes are atomic under the GIL; a duplicated
+concurrent computation of the same entry is harmless because entries are
+idempotent.  On top of it sits the row memo: character_row(lam) is
+chi^lam on every class in partitions_of(|lam|) order, read once from the
+dict, so a full class sum is a zip of rows with partitions.class_sizes
+instead of one mn_character call per class.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .partitions import (
     rows,
 )
 
-# chi values: (beta-set mask, alpha suffix) for recursion states, and
-# (lambda, alpha) for values a caller puts in; exposed so tests can poison it
+# chi values keyed by (beta-set mask, alpha suffix); exposed so tests can poison it
 _char_cache: dict[tuple, int] = {}
 
 
@@ -64,8 +63,7 @@ def mn_character(lam: Partition, alpha: Partition) -> int:
         raise ValueError(
             f"box counts differ: |{lam}| = {sum(lam)}, |{alpha}| = {sum(alpha)}"
         )
-    val = _char_cache.get((lam, alpha))
-    return _mn(_beta_set(lam), alpha) if val is None else val
+    return _mn(_beta_set(lam), alpha)
 
 
 def character_row(lam: Partition) -> tuple[int, ...]:
@@ -81,9 +79,8 @@ def character_row(lam: Partition) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _character_row(lam: Partition) -> tuple[int, ...]:
-    mask, get = _beta_set(lam), _char_cache.get
-    return tuple(_mn(mask, alpha) if (val := get((lam, alpha))) is None else val
-                 for alpha in partitions_of(sum(lam)))
+    mask = _beta_set(lam)
+    return tuple(_mn(mask, alpha) for alpha in partitions_of(sum(lam)))
 
 
 def _beta_set(lam: Partition) -> int:

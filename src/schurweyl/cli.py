@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Partitions are written as JSON arrays, e.g. "[3,2,1]"; rationals print as
-num/den plus a float rendering.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 resource limit (size cap or recursion depth).
-`verify` prints one {check, lhs, rhs, pass, cases, failures, counterexample}
-report per check.  A --config file's values become the parser's defaults,
-so a flag still wins, and every command runs inside `size_cap(--size-cap)`,
-so a cap below the floor is refused whatever the command.
+num/den plus a float rendering.  Every cmd_* returns (data, text): data is
+the JSON document and text the plain rendering, which csv prints as well.
+Only `main` reads --format: json prints data compactly, for every command.
+Exit codes: 0 success, 1 verification failure (data carries "pass": false,
+which only a verify report does), 2 usage error, 3 resource limit (size
+cap or recursion depth).  `verify` reports one {check, lhs, rhs, pass,
+cases, failures, counterexample} entry per check.  A --config file's
+values become the parser's defaults, so a flag still wins, and every
+command runs inside `size_cap(--size-cap)`, so a cap below the floor is
+refused whatever the command.
 """
 
 from __future__ import annotations
@@ -80,47 +84,16 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator} ({float(f):.6g})"
 
 
-def _weights_plain(w: WernerWeights) -> str:
+def _weights(w: WernerWeights) -> tuple[dict, str]:
     lines = [f"n={w.n} d={w.d}"]
     for mu, a in w.weights.items():
         lines.append(f"  {format_partition(mu)}: {_frac_str(a)}")
     lines.append(f"  sum: {_frac_str(w.total())}")
-    return "\n".join(lines)
+    return w.as_json(), "\n".join(lines)
 
 
 def _roots_str(roots: list[int]) -> str:
     return ",".join(str(r) for r in roots)
-
-
-def _table5_rows() -> list[dict]:
-    rows = []
-    for lam, mu in TABLE5_PAIRS:
-        poly = character_polynomial(lam, mu)
-        rr = root_range(lam, mu)
-        partner = (conjugate(lam), conjugate(mu))
-        hidden = partner in ((lam, mu), (mu, lam))  # same unordered pair
-        rows.append(
-            {
-                "lambda": list(lam),
-                "mu": list(mu),
-                "conjugate_pair": None if hidden else [list(partner[0]), list(partner[1])],
-                "polynomial": str(poly),
-                "coeffs": list(poly.coeffs),
-                "roots": rr.roots,
-            }
-        )
-    return rows
-
-
-def _table5_plain() -> str:
-    lines = []
-    for row in _table5_rows():
-        head = f"{format_partition(row['lambda'])},{format_partition(row['mu'])}"
-        if row["conjugate_pair"]:
-            a, b = row["conjugate_pair"]
-            head += f" ; {format_partition(a)},{format_partition(b)}"
-        lines.append(f"{head} | {row['polynomial']} | {_roots_str(row['roots'])}")
-    return "\n".join(lines)
 
 
 def _parse_spectrum(text: str) -> tuple[Fraction, ...]:
@@ -136,138 +109,132 @@ def _parse_spectrum(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"not a spectrum: {text!r} divides by zero") from exc
 
 
-def cmd_chi_poly(args) -> tuple[str, int]:
+def cmd_chi_poly(args) -> tuple[dict, str]:
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     poly = character_polynomial(lam, mu)
     rr = root_range(lam, mu)
-    if args.format == "json":
-        data = {
-            "lambda": list(lam),
-            "mu": list(mu),
-            "coeffs": list(poly.coeffs),
-            "roots": rr.roots,
-            "q_minus": rr.q_minus,
-            "q_plus": rr.q_plus,
-        }
-        return json.dumps(data), 0
-    return f"{poly}; integral roots {rr.roots[0]}..{rr.roots[-1]}", 0
+    data = {
+        "lambda": list(lam),
+        "mu": list(mu),
+        "coeffs": list(poly.coeffs),
+        "roots": rr.roots,
+        "q_minus": rr.q_minus,
+        "q_plus": rr.q_plus,
+    }
+    return data, f"{poly}; integral roots {rr.roots[0]}..{rr.roots[-1]}"
 
 
-def cmd_table5(args) -> tuple[str, int]:
-    if args.format == "json":
-        return json.dumps(_table5_rows()), 0
-    return _table5_plain(), 0
+def cmd_table5(args) -> tuple[list, str]:
+    rows, lines = [], []
+    for lam, mu in TABLE5_PAIRS:
+        poly = character_polynomial(lam, mu)
+        roots = root_range(lam, mu).roots
+        partner = (conjugate(lam), conjugate(mu))
+        head = f"{format_partition(lam)},{format_partition(mu)}"
+        if partner in ((lam, mu), (mu, lam)):  # same unordered pair
+            pair = None
+        else:
+            pair = [list(partner[0]), list(partner[1])]
+            head += f" ; {format_partition(pair[0])},{format_partition(pair[1])}"
+        rows.append(
+            {
+                "lambda": list(lam),
+                "mu": list(mu),
+                "conjugate_pair": pair,
+                "polynomial": str(poly),
+                "coeffs": list(poly.coeffs),
+                "roots": roots,
+            }
+        )
+        lines.append(f"{head} | {poly} | {_roots_str(roots)}")
+    return rows, "\n".join(lines)
 
 
-def cmd_lr(args) -> tuple[str, int]:
+def cmd_lr(args) -> tuple[dict, str]:
     value = littlewood_richardson(
         parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
     )
-    if args.format == "json":
-        return json.dumps({"value": value}), 0
-    return str(value), 0
+    return {"value": value}, str(value)
 
 
-def cmd_kron(args) -> tuple[str, int]:
+def cmd_kron(args) -> tuple[dict, str]:
     value = kronecker(
         parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
     )
-    if args.format == "json":
-        return json.dumps({"value": value}), 0
-    return str(value), 0
+    return {"value": value}, str(value)
 
 
-def _emit_weights(w: WernerWeights, fmt: str) -> tuple[str, int]:
-    if fmt == "json":
-        return json.dumps(w.as_json()), 0
-    return _weights_plain(w), 0
-
-
-def cmd_trace(args) -> tuple[str, int]:
+def cmd_trace(args) -> tuple[dict, str]:
     lam = parse_partition(args.lam)
     if args.sym is not None:
         k, d = args.sym
-        return _emit_weights(trace_out_sym(lam, k, d), args.format)
+        return _weights(trace_out_sym(lam, k, d))
     p, q = args.dual
-    return _emit_weights(dual_trace(lam, p, q), args.format)
+    return _weights(dual_trace(lam, p, q))
 
 
-def cmd_twirl(args) -> tuple[str, int]:
-    return _emit_weights(twirl_power(_parse_spectrum(args.spectrum), args.k), args.format)
+def cmd_twirl(args) -> tuple[dict, str]:
+    return _weights(twirl_power(_parse_spectrum(args.spectrum), args.k))
 
 
-def cmd_dual_twirl(args) -> tuple[str, int]:
-    return _emit_weights(dual_twirl_cycle(parse_partition(args.alpha), args.d), args.format)
+def cmd_dual_twirl(args) -> tuple[dict, str]:
+    return _weights(dual_twirl_cycle(parse_partition(args.alpha), args.d))
 
 
-def cmd_bound(args) -> tuple[str, int]:
+def cmd_bound(args) -> tuple[dict, str]:
     if args.dual is not None:
         n, q = args.dual
         value = definetti_bound_dual(n, q)
-        label = {"kind": "dual", "n": n, "q": q}
+        data = {"kind": "dual", "n": n, "q": q}
     else:
         k, lam_min = args.sym
         value = definetti_bound_sym(k, lam_min)
-        label = {"kind": "sym", "k": k, "lambda_min": lam_min}
-    if args.format == "json":
-        label.update(num=value.numerator, den=value.denominator, value=float(value))
-        return json.dumps(label), 0
-    return _frac_str(value), 0
+        data = {"kind": "sym", "k": k, "lambda_min": lam_min}
+    data.update(num=value.numerator, den=value.denominator, value=float(value))
+    return data, _frac_str(value)
 
 
-def cmd_dof(args) -> tuple[str, int]:
+def cmd_dof(args) -> tuple[dict, str]:
     value = degrees_of_freedom(args.n, args.d, args.kind)
-    if args.format == "json":
-        return json.dumps({"n": args.n, "d": args.d, "kind": args.kind, "value": value}), 0
-    return str(value), 0
+    return {"n": args.n, "d": args.d, "kind": args.kind, "value": value}, str(value)
 
 
-def cmd_qplus(args) -> tuple[str, int]:
-    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    rr = root_range(lam, mu)
-    if args.format == "json":
-        return json.dumps({"q_minus": rr.q_minus, "q_plus": rr.q_plus, "roots": rr.roots}), 0
-    return f"q+={rr.q_plus} q-={rr.q_minus} roots={_roots_str(rr.roots)}", 0
+def cmd_qplus(args) -> tuple[dict, str]:
+    rr = root_range(parse_partition(args.lam), parse_partition(args.mu))
+    data = {"q_minus": rr.q_minus, "q_plus": rr.q_plus, "roots": rr.roots}
+    return data, f"q+={rr.q_plus} q-={rr.q_minus} roots={_roots_str(rr.roots)}"
 
 
-def cmd_horn(args) -> tuple[str, int]:
-    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    witness = horn_witness(lam, mu)
-    if args.format == "json":
-        if witness is None:
-            return json.dumps({"witness": None}), 0
-        return json.dumps({"witness": {"a": list(witness.a), "b": list(witness.b),
-                                       "c": list(witness.c)}}), 0
+def cmd_horn(args) -> tuple[dict, str]:
+    witness = horn_witness(parse_partition(args.lam), parse_partition(args.mu))
     if witness is None:
-        return "none", 0
-    return (f"A=diag{witness.a}\nB=diag{witness.b}\nC=diag{witness.c}"), 0
+        return {"witness": None}, "none"
+    data = {"witness": {"a": list(witness.a), "b": list(witness.b), "c": list(witness.c)}}
+    return data, f"A=diag{witness.a}\nB=diag{witness.b}\nC=diag{witness.c}"
 
 
-def cmd_chartable(args) -> tuple[str, int]:
+def cmd_chartable(args) -> tuple[dict, str]:
     parts = partitions_of(args.n)
     rows = {lam: character_row(lam) for lam in parts}
-    if args.format == "json":
-        data = {
-            "n": args.n,
-            "classes": [list(a) for a in parts],
-            "rows": [{"partition": list(lam), "values": row} for lam, row in rows.items()],
-        }
-        return json.dumps(data), 0
+    data = {
+        "n": args.n,
+        "classes": [list(a) for a in parts],
+        "rows": [{"partition": list(lam), "values": row} for lam, row in rows.items()],
+    }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda\\alpha"] + [format_partition(a) for a in parts])
     for lam, row in rows.items():
         writer.writerow([format_partition(lam)] + [str(v) for v in row])
-    return buf.getvalue().rstrip("\n"), 0
+    return data, buf.getvalue().rstrip("\n")
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[dict, str]:
     from . import verify  # loads numpy, which no other command needs
 
     reports = verify.run_suite(args.suite, seed=args.seed)
-    ok = all(r["pass"] for r in reports)
-    out = json.dumps({"suite": args.suite, "pass": ok, "checks": reports}, indent=2)
-    return out, 0 if ok else 1
+    data = {"suite": args.suite, "pass": all(r["pass"] for r in reports), "checks": reports}
+    return data, json.dumps(data, indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +332,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.set_defaults(**load_config(args.config))
             args = parser.parse_args(argv)
         with size_cap(args.size_cap):
-            text, code = args.func(args)
+            data, text = args.func(args)
+        if args.format == "json":
+            text = json.dumps(data)
+        code = 1 if isinstance(data, dict) and data.get("pass") is False else 0
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -4,8 +4,8 @@ and skew dimensions.
 Each quantity comes with a genuinely independent second computation path
 so that one can cross-validate the other:
 
-* c^lambda_{mu nu}: lattice-word tableau enumeration (primary) and an
-  induced-character inner product over S_k x S_{n-k} (secondary).
+* c^lambda_{mu nu}: a row-by-row count of lattice-word tableaux (primary)
+  and an induced-character inner product over S_k x S_{n-k} (secondary).
 * g_{lambda mu nu}: a row product, sum_alpha h_alpha chi^lambda(alpha)
   chi^mu(alpha) chi^nu(alpha) / n!, zipping the three memoised character
   rows with the class sizes; validated against its permutation symmetries,
@@ -37,52 +37,45 @@ from .symfunc import _det, falling_factorial
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """c^lambda_{mu nu} by direct enumeration of Littlewood-Richardson tableaux.
+    """c^lambda_{mu nu}: Littlewood-Richardson tableaux counted row by row.
 
     Counts fillings of the skew shape lambda/mu with content nu that are
     weakly increasing along rows, strictly increasing down columns, and
-    whose reverse reading word is a lattice word.  Cells are visited in
-    reverse reading order (rows top to bottom, right to left) so every
-    constraint prunes immediately.
+    whose reverse reading word is a lattice word (Macdonald, Symmetric
+    Functions, I.9).  A row is filled value by value: the entries <= v end
+    at a column capped by the row length, by where the entries <= v - 1
+    end in the row above (columns strictly increase), by nu_v (the content)
+    and by the count of v - 1 in the rows above (read right to left, a
+    row's v come before its v - 1, so that is the whole lattice condition).
+    A state between rows is the content so far plus the row's ends, and
+    equal states merge their counts, so nothing recurses.
     """
     n, k, m = sum(lam), sum(mu), sum(nu)
     if k + m != n or not contains(mu, lam):
         return 0
     if m == 0:
         return 1
-    nrows = len(lam)
-    inner = list(mu) + [0] * (nrows - len(mu))
-    cells = [
-        (r, c)
-        for r in range(nrows)
-        for c in range(lam[r] - 1, inner[r] - 1, -1)
-    ]
-    values = len(nu)
-    filling = [[0] * lam[r] for r in range(nrows)]
-    counts = [0] * (values + 1)
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = filling[r][c + 1] if c + 1 < lam[r] else None
-        above = filling[r - 1][c] if r > 0 and c < lam[r - 1] and c >= inner[r - 1] else 0
-        lo = above + 1 if above else 1
-        hi = right if right is not None else values
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice-word prefix would go negative
-            counts[v] += 1
-            filling[r][c] = v
-            total += fill(idx + 1)
-            filling[r][c] = 0
-            counts[v] -= 1
-        return total
-
-    return fill(0)
+    inner = list(mu) + [0] * (len(lam) - len(mu))
+    # (content, ends): where the entries <= v end in the row above, for
+    # v = 0..len(nu); cells of mu count as 0, and the top row has no row above
+    states = {((0,) * len(nu), (lam[0],) * (len(nu) + 1)): 1}
+    for length, start in zip(lam, inner):
+        merged: dict[tuple, int] = {}
+        for (content, above), ways in states.items():
+            # how many of each value the row may take
+            rooms = [min(bound, content[v - 1] if v else bound) - content[v]
+                     for v, bound in enumerate(nu)]
+            fills, least = [(start,)], length - sum(rooms)
+            for v, room in enumerate(rooms):
+                least += room  # the end the later values can still fill the row from
+                fills = [ends + (end,) for ends in fills
+                         for end in range(max(ends[-1], least),
+                                          min(length, above[v], ends[-1] + room) + 1)]
+            for ends in fills:
+                key = (tuple(c + b - a for c, a, b in zip(content, ends, ends[1:])), ends)
+                merged[key] = merged.get(key, 0) + ways
+        states = merged
+    return sum(states.values())
 
 
 def littlewood_richardson_char(lam: Partition, mu: Partition, nu: Partition) -> int:

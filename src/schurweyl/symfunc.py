@@ -15,9 +15,9 @@ enforces rather than assumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
 
 from .partitions import Partition, rows
 

@@ -10,10 +10,10 @@ rational arithmetic over Par(n, d).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .errors import ConsistencyError
@@ -21,7 +21,6 @@ from .partitions import (
     Partition,
     as_partition,
     class_sizes,
-    conjugate,
     contains,
     partitions_of,
     rows,
@@ -169,10 +168,7 @@ def character_polynomial(lam: Partition, mu: Partition) -> IntPolynomial:
     return _chi_poly(lam, mu)
 
 
-class RootRange(NamedTuple):
-    q_minus: int
-    q_plus: int
-    roots: list[int]
+RootRange = namedtuple("RootRange", "q_minus q_plus roots")
 
 
 def root_range(lam: Partition, mu: Partition) -> RootRange:
@@ -203,11 +199,12 @@ def root_range(lam: Partition, mu: Partition) -> RootRange:
     if q_plus > max(rows(lam), rows(mu)):
         raise ConsistencyError(f"q+ exceeds the row bound for {lam},{mu}")
 
-    # the negative side mirrors the positive side of the conjugate pair
-    mirror = character_polynomial(conjugate(lam), mu)
+    # the negative side mirrors the positive side of the conjugate pair:
+    # chi^{lam'} = sgn chi^lam makes its polynomial (-1)^n poly(-q)
+    sign = (-1) ** n
     q_minus = None
     for q in range(1, n + 1):
-        if mirror(q) > 0:
+        if sign * poly(-q) > 0:
             q_minus = -q
             break
     if q_minus is None:
@@ -386,10 +383,7 @@ def degrees_of_freedom(n: int, d: int, kind: str) -> int:
     raise ValueError(f"kind must be 'werner' or 'symmetric', not {kind!r}")
 
 
-class HornWitness(NamedTuple):
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+HornWitness = namedtuple("HornWitness", "a b c")
 
 
 def horn_witness(lam: Partition, mu: Partition) -> HornWitness | None:

@@ -162,10 +162,10 @@ def test_cache_can_be_cleared_and_refilled():
 
 
 def test_clearing_the_cache_drops_polynomials_built_from_it():
-    key = ((2, 1), (1, 1, 1))
+    lam, alpha = (2, 1), (1, 1, 1)
     clear_character_cache()
-    mn_character(*key)
-    characters._char_cache[key] = 5
+    mn_character(lam, alpha)
+    characters._char_cache[characters._beta_set(lam), alpha] = 5
     try:
         assert character_polynomial((2, 1), (2, 1)).coeffs != [0, 2, 0, 4]  # poisoned
     finally:
@@ -176,7 +176,7 @@ def test_clearing_the_cache_drops_polynomials_built_from_it():
 def test_clearing_the_cache_drops_character_rows():
     assert character_row((2, 1)) == (-1, 0, 2)
     clear_character_cache()
-    characters._char_cache[((2, 1), (1, 1, 1))] = 8
+    characters._char_cache[characters._beta_set((2, 1)), (1, 1, 1)] = 8
     try:
         assert character_row((2, 1)) == (-1, 0, 8)
         # (2 * (-1)^3 + 8^3) / 3! = 85; the true row gives 1

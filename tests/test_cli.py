@@ -122,6 +122,38 @@ def test_chartable_prints_csv_for_every_format_but_json(capsys):
     assert code == 0 and out.startswith('lambda\\alpha,[4],"[3,1]"')
 
 
+# one successful argv per subcommand
+FORMAT_ARGV = [
+    ["chi-poly", "[4,1]", "[2,1,1,1]"],
+    ["table5"],
+    ["lr", "[3,2,1]", "[2,1]", "[2,1]"],
+    ["kron", "[2,1]", "[2,1]", "[2,1]"],
+    ["trace", "[2,1]", "--sym", "2", "2"],
+    ["twirl", '["2/3","1/3"]', "2"],
+    ["dual-twirl", "[2,1]", "3"],
+    ["bound", "--dual", "2", "4"],
+    ["dof", "3", "2"],
+    ["qplus", "[4,1]", "[2,1,1,1]"],
+    ["horn", "[2,1]", "[1]"],
+    ["chartable", "3"],
+    ["verify", "bounds"],
+]
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGV, ids=lambda argv: argv[0])
+def test_every_command_obeys_the_format_contract(capsys, argv):
+    plain = run_cli(capsys, "--format", "plain", *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, "--format", "csv", *argv) == plain
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and out.count("\n") == 1
+    json.loads(out)
+
+
+def test_format_table_covers_every_subcommand():
+    assert {argv[0] for argv in FORMAT_ARGV} == set(_COMMANDS)
+
+
 def test_usage_errors(capsys):
     assert main(["lr", "[2,1", "[1]", "[2]"]) == 2
     assert main(["trace", "[2,1,1]", "--sym", "2", "2"]) == 2  # rows exceed d
@@ -175,8 +207,10 @@ def test_size_cap_exit_code(capsys):
 
 
 def test_deep_inputs_hit_a_resource_limit(capsys):
-    # the LR filling recurses once per cell
-    assert main(["lr", "[1200]", "[100]", "[1100]"]) == 3
+    # LR tableaux are counted row by row, so a long row costs no depth
+    assert run_cli(capsys, "lr", "[1200]", "[100]", "[1100]") == (0, "1\n")
+    # the MN recursion still descends once per part >= 2
+    assert main(["dual-twirl", json.dumps([2] * 1200), "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -232,10 +266,10 @@ def test_verify_bounds_suite_passes(capsys):
 
 def test_verify_detects_poisoned_character(capsys):
     # corrupt one memoized character value; orthogonality must name the failure
-    key = ((2, 1), (1, 1, 1))
+    lam, alpha = (2, 1), (1, 1, 1)
     characters.clear_character_cache()
-    characters.mn_character(*key)
-    characters._char_cache[key] = 5
+    characters.mn_character(lam, alpha)
+    characters._char_cache[characters._beta_set(lam), alpha] = 5
     try:
         code, out = run_cli(capsys, "verify", "formulas")
         assert code == 1

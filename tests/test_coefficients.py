@@ -31,6 +31,49 @@ def test_lr_examples():
     assert littlewood_richardson((4, 2), (2, 1), (2, 1)) == 1
 
 
+def reference_lr(lam, mu, nu):
+    """c^lambda_{mu nu} by filling lambda/mu one cell at a time, in reverse
+    reading order, and backtracking; the cell enumerator the row count replaced."""
+    if sum(mu) + sum(nu) != sum(lam) or not contains(mu, lam):
+        return 0
+    inner = list(mu) + [0] * (len(lam) - len(mu))
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, inner[r] - 1, -1)]
+    filling = [[0] * row for row in lam]
+    counts = [0] * (len(nu) + 1)
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        above = filling[r - 1][c] if r > 0 and inner[r - 1] <= c < lam[r - 1] else 0
+        hi = filling[r][c + 1] if c + 1 < lam[r] else len(nu)
+        total = 0
+        for v in range(above + 1, hi + 1):
+            if counts[v] >= nu[v - 1] or (v > 1 and counts[v] >= counts[v - 1]):
+                continue  # content exhausted, or the lattice word would break
+            counts[v] += 1
+            filling[r][c] = v
+            total += fill(idx + 1)
+            filling[r][c] = 0
+            counts[v] -= 1
+        return total
+
+    return fill(0)
+
+
+def test_lr_row_count_equals_the_cell_enumerator():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for mu in partitions_of(k):
+                    for nu in partitions_of(n - k):
+                        assert littlewood_richardson(lam, mu, nu) == reference_lr(lam, mu, nu), \
+                            (lam, mu, nu)
+    seven = (12, 10, 8, 6, 4, 2)
+    assert littlewood_richardson((20, 18, 16, 12, 8, 6, 4), seven, seven) == 42666
+    assert littlewood_richardson((1200,), (100,), (1100,)) == 1
+
+
 def test_lr_two_paths_agree_exhaustively(check_passes):
     check_passes("lr-two-paths")
 

@@ -33,16 +33,16 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_algebraic_commands_do_not_import_numpy():
-    # nor dataclasses, which loads inspect: start-up is paid by every cold process
+    # nor dataclasses, which loads inspect, nor typing: start-up is paid by
+    # every cold process.  -S keeps site .pth imports from loading them first.
     script = f"""
 import sys
 from schurweyl.cli import main
 for argv in {ALGEBRAIC_ARGV!r}:
     assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-    assert "dataclasses" not in sys.modules, argv
+    assert not {{"numpy", "dataclasses", "typing"}} & set(sys.modules), argv
 """
-    run = _python("-c", script)
+    run = _python("-S", "-c", script)
     assert run.returncode == 0, run.stderr
 
 

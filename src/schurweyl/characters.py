@@ -42,12 +42,9 @@ _char_cache: dict[tuple, int] = {}
 
 
 def clear_character_cache() -> None:
-    """Empty the character memo and every memo built from its values."""
-    from .werner import _chi_poly  # werner imports this module
-
+    """Empty the character memo and the row memo built from it."""
     _char_cache.clear()
     _character_row.cache_clear()
-    _chi_poly.cache_clear()
 
 
 def mn_character(lam: Partition, alpha: Partition) -> int:

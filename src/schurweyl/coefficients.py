@@ -127,7 +127,11 @@ def _kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
 
 
 def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
-    """sum over nu in Par(|lambda|-|mu|, d) of c^lambda_{mu nu} f_nu."""
+    """sum over nu in Par(|lambda|-|mu|, d) of c^lambda_{mu nu} f_nu.
+
+    The independent oracle of werner.trace_out_sym, through the check
+    inner-sum-subsystem.
+    """
     m = sum(lam) - sum(mu)
     if m < 0:
         return 0
@@ -139,7 +143,11 @@ def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
 
 
 def branching_sum_kron(lam: Partition, mu: Partition, q: int) -> int:
-    """sum over nu in Par(n, q) of g_{lambda mu nu} e^q_nu."""
+    """sum over nu in Par(n, q) of g_{lambda mu nu} e^q_nu.
+
+    The independent oracle of werner.character_polynomial, through the
+    check inner-sum-inner-trace: n! times this sum is its value at q.
+    """
     lam, mu = as_partition(lam), as_partition(mu)
     n = sum(lam)
     if sum(mu) != n:

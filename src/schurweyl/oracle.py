@@ -284,12 +284,7 @@ def standard_tableaux(shape: Partition) -> Iterator[Tableau]:
 
 def first_standard_tableau(shape: Partition) -> Tableau:
     """The row-reading filling: 1..n left to right, top to bottom."""
-    shape = as_partition(shape)
-    out, k = [], 1
-    for r in shape:
-        out.append(tuple(range(k, k + r)))
-        k += r
-    return tuple(out)
+    return next(standard_tableaux(shape))
 
 
 def tableau_shape(t: Tableau) -> Partition:
@@ -418,28 +413,23 @@ def symmetric_average(m: DenseOperator) -> DenseOperator:
     pi M pi^{-1} relabels M[x, y] as M[pi . x, pi . y], so the sum over the
     group at (x, y) is the size of the stabiliser of the index pair times
     the sum of M over its S_n-orbit.  The orbit is labelled by the sorted
-    digit pairs (x_i, y_i); the stabiliser size is the product of the
-    factorials of their multiplicities.  That is d^(2n) additions, not
-    n! d^(2n).
+    digit pairs (x_i, y_i), and the stabiliser size is n!/|orbit|, the
+    orbit's size being the count of its label.  That is d^(2n) additions,
+    not n! d^(2n).
     """
     n, d, dim = m.n, m.base, m.dim
     w = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(dim)[:, None] // w) % d  # row x holds x's n digits
     labels = np.empty((dim, dim), dtype=np.int64)
-    stabiliser = np.ones((dim, dim), dtype=np.int64)
     step = max(1, _SCATTER_CELLS // (dim * n))
     for start in range(0, dim, step):
         pairs = np.sort(digits[start:start + step, None, :] * d + digits, axis=-1)
         labels[start:start + step] = pairs @ (w * w)  # base d^2 numeral of the sorted pairs
-        run = np.ones(pairs.shape[:2], dtype=np.int64)  # place of pair i in its run
-        for i in range(1, n):
-            run = np.where(pairs[..., i] == pairs[..., i - 1], run + 1, 1)
-            stabiliser[start:start + step] *= run
-    orbits, index = np.unique(labels.ravel(), return_inverse=True)
-    sums = np.zeros(len(orbits), dtype=object)
+    _, index, sizes = np.unique(labels.ravel(), return_inverse=True, return_counts=True)
+    sums = np.zeros(len(sizes), dtype=object)
     np.add.at(sums, index, m.mat.ravel())
-    acc = sums[index].reshape(dim, dim) * stabiliser  # int64 is cast to Python ints
-    return DenseOperator(acc, m.scale / factorial(n), n, d)
+    sums *= factorial(n) // sizes.astype(object)  # the stabiliser of each orbit
+    return DenseOperator(sums[index].reshape(dim, dim), m.scale / factorial(n), n, d)
 
 
 def trace_norm(m: DenseOperator) -> float:

@@ -125,26 +125,23 @@ def class_size(alpha: Partition) -> int:
     """Size of the conjugacy class of S_n with cycle type alpha.
 
     h_alpha = n! / z_alpha with z_alpha = prod_i i^{m_i} m_i! over the
-    multiplicities m_i of the part sizes i.
+    multiplicities m_i of the part sizes i.  Not memoised; class_sizes(n)
+    is the memo.
     """
-    return _class_size(tuple(alpha))
-
-
-@lru_cache(maxsize=None)
-def _class_size(alpha: Partition) -> int:
-    z = 1
+    n, z = 0, 1
     mult: dict[int, int] = {}
     for part in alpha:
         mult[part] = mult.get(part, 0) + 1
+        n += part
     for part, m in mult.items():
         z *= part**m * factorial(m)
-    return factorial(sum(alpha)) // z
+    return factorial(n) // z
 
 
 @lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
     """h_alpha for every alpha in partitions_of(n), in that order (memoised)."""
-    return tuple(_class_size(alpha) for alpha in partitions_of(n))
+    return tuple(map(class_size, partitions_of(n)))
 
 
 def skew_standard_count(outer: Partition, inner: Partition) -> int:

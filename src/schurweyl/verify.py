@@ -32,7 +32,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial, lcm
 
 import numpy as np
 
@@ -494,19 +494,10 @@ def check_twirl_projection_oracle(*, seed: int) -> Cases:
     for k in (2, 3):
         for _ in range(3):
             r = _random_spectrum(rng, d)
-            den = 1
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-            dim = d**k
-            mat = np.empty((dim, dim), dtype=object)
-            mat[:] = 0
-            for idx in range(dim):
-                digits = [(idx // d ** (k - 1 - i)) % d for i in range(k)]
-                val = 1
-                for dig in digits:
-                    val *= int(r[dig] * den)
-                mat[idx, idx] = val
-            power = oracle.DenseOperator(mat, Fraction(1, den**k), k, d)
+            den = lcm(*(x.denominator for x in r))
+            spectrum = np.array([int(x * den) for x in r], dtype=object)
+            diag = functools.reduce(np.kron, [spectrum] * k)  # factor 1 is the top digit
+            power = oracle.DenseOperator(np.diag(diag), Fraction(1, den**k), k, d)
             wts = oracle.schur_weyl_weights(power)
             yield (_spectrum(r), k), wts == dict(twirl_power(r, k).weights)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .errors import ConsistencyError
@@ -144,28 +144,22 @@ def _weights_on(n: int, d: int, value, total=1,
     return out
 
 
-@lru_cache(maxsize=None)
-def _chi_poly(lam: Partition, mu: Partition) -> IntPolynomial:
+def character_polynomial(lam: Partition, mu: Partition) -> IntPolynomial:
+    """The degree-n polynomial sum_alpha h_alpha q^c(alpha) chi^lam chi^mu.
+
+    Symmetric in (lam, mu); the constant term vanishes for n >= 1 because
+    every cycle type has at least one cycle.  Not memoised: each consumer
+    (chi-poly, qplus, table5, root_range) builds a polynomial once.
+    """
+    lam, mu = as_partition(lam), as_partition(mu)
     n = sum(lam)
+    if sum(mu) != n:
+        raise ValueError("character polynomial needs equal box counts")
     coeffs = [0] * (n + 1)
     for alpha, h, a, b in zip(partitions_of(n), class_sizes(n),
                               character_row(lam), character_row(mu)):
         coeffs[rows(alpha)] += h * a * b
     return IntPolynomial(coeffs)
-
-
-def character_polynomial(lam: Partition, mu: Partition) -> IntPolynomial:
-    """The degree-n polynomial sum_alpha h_alpha q^c(alpha) chi^lam chi^mu.
-
-    Symmetric in (lam, mu); the constant term vanishes for n >= 1 because
-    every cycle type has at least one cycle.
-    """
-    lam, mu = as_partition(lam), as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("character polynomial needs equal box counts")
-    if mu < lam:
-        lam, mu = mu, lam
-    return _chi_poly(lam, mu)
 
 
 RootRange = namedtuple("RootRange", "q_minus q_plus roots")
@@ -241,10 +235,10 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     return _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
 
 
-def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
-    """Weights after tracing out the q-dimensional half of every subsystem.
+def _dual_row(lam: Partition, p: int, q: int) -> tuple[int, list[int], int]:
+    """(n, row, n! e^{pq}_lam) for the inner trace of lam, after validating it.
 
-    a_mu = e^p_mu * chi^{lam mu}(q) / (n! e^{pq}_lam) over mu in Par(n, p).
+    row holds h_alpha q^c(alpha) chi^lam(alpha) in partitions_of(n) order.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
@@ -252,10 +246,20 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     n = sum(lam)
     if rows(lam) > p * q:
         raise ValueError(f"{lam} has more than {p * q} rows")
-    denom = factorial(n) * dim_unitary(lam, p * q)
-    return _weights_on(
-        n, p, lambda mu: Fraction(dim_unitary(mu, p) * character_polynomial(lam, mu)(q), denom)
-    )
+    row = [h * q ** rows(alpha) * chi
+           for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))]
+    return n, row, factorial(n) * dim_unitary(lam, p * q)
+
+
+def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
+    """Weights after tracing out the q-dimensional half of every subsystem.
+
+    a_mu = e^p_mu * sum_alpha h_alpha q^c(alpha) chi^lam(alpha) chi^mu(alpha)
+    / (n! e^{pq}_lam) over mu in Par(n, p): one row product per mu.
+    """
+    n, row, denom = _dual_row(lam, p, q)
+    return _weights_on(n, p, lambda mu: Fraction(
+        dim_unitary(mu, p) * sum(map(mul, row, character_row(mu))), denom))
 
 
 def twirl_power(r: Spectrum, k: int) -> WernerWeights:
@@ -299,21 +303,16 @@ def cycle_sum_expansion(lam: Partition, p: int, q: int) -> dict[Partition, Fract
     reproduces dual_trace(lam, p, q) exactly.  The p^n factor compensates the
     1/p^n normalization inside the cycle operators.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
-    lam = as_partition(lam)
-    n = sum(lam)
-    if rows(lam) > p * q:
-        raise ValueError(f"{lam} has more than {p * q} rows")
-    denom = factorial(n) * dim_unitary(lam, p * q)
-    return {
-        alpha: Fraction(p**n * h * q ** rows(alpha) * chi, denom)
-        for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))
-    }
+    n, row, denom = _dual_row(lam, p, q)
+    return {alpha: Fraction(p**n * r, denom) for alpha, r in zip(partitions_of(n), row)}
 
 
 def recombine_cycle_sum(coeffs: dict[Partition, Fraction], p: int) -> WernerWeights:
-    """Contract a cycle-sum expansion back to a weight vector over Par(n, p)."""
+    """Contract a cycle-sum expansion back to a weight vector over Par(n, p).
+
+    The independent oracle of dual_trace, through the check
+    cycle-sum-recombination: it sums cycle operators, not row products.
+    """
     n = sum(next(iter(coeffs)))
     acc = {mu: Fraction(0) for mu in partitions_of(n, p)}
     for alpha, c in coeffs.items():
@@ -326,10 +325,10 @@ def recombine_cycle_sum(coeffs: dict[Partition, Fraction], p: int) -> WernerWeig
 
 
 def fully_mixed(n: int, d: int) -> WernerWeights:
-    """Weights of the fully mixed state I / d^n: e^d_mu f_mu / d^n."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    return _weights_on(n, d, lambda mu: Fraction(dim_unitary(mu, d) * dim_sym(mu), d**n))
+    """Weights of the fully mixed state I / d^n: the cycle operator of the identity."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return dual_twirl_cycle((1,) * n, d)
 
 
 def trace_distance(a: WernerWeights, b: WernerWeights) -> Fraction:

@@ -14,3 +14,13 @@ def test_invariants_do_not_use_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_characters_import_no_higher_layer():
+    # the layering runs one way: characters reads partitions and errors
+    # only, so no memo above it has to be cleared from here
+    path = SOURCES[0].parent / "characters.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level}
+    assert local == {"errors", "partitions"}

@@ -142,6 +142,21 @@ def test_dual_trace_collapses_for_p_equal_one():
             assert dict(w.weights) == {(n,): Fraction(1)}
 
 
+def test_dual_trace_equals_the_character_polynomial_formula():
+    # the formula dual_trace used before it became a row product; the two
+    # paths share only the character rows
+    for n in range(1, 9):
+        for p in range(1, 4):
+            for q in range(1, 5):
+                for lam in partitions_of(n, p * q):
+                    denom = factorial(n) * dim_unitary(lam, p * q)
+                    expect = {
+                        mu: Fraction(dim_unitary(mu, p) * character_polynomial(lam, mu)(q), denom)
+                        for mu in partitions_of(n, p)
+                    }
+                    assert list(dual_trace(lam, p, q).weights.items()) == list(expect.items())
+
+
 def test_dual_trace_rejects_wide_diagrams():
     with pytest.raises(ValueError):
         dual_trace((1, 1, 1, 1, 1), 2, 2)
@@ -187,9 +202,16 @@ def test_twirl_power_examples():
 
 
 def test_dual_twirl_cycle_identity_type_is_fully_mixed():
-    for n in range(1, 5):
-        for d in (1, 2, 3):
-            assert dual_twirl_cycle((1,) * n, d) == fully_mixed(n, d)
+    # fully_mixed is the identity's cycle operator; hold it to the closed
+    # form of I / d^n, e^d_mu f_mu / d^n, key order included
+    for n in range(1, 7):
+        for d in range(1, 5):
+            expect = {mu: Fraction(dim_unitary(mu, d) * dim_sym(mu), d**n)
+                      for mu in partitions_of(n, d)}
+            assert list(fully_mixed(n, d).weights.items()) == list(expect.items())
+    assert dual_twirl_cycle((), 2).is_state()  # the empty cycle type is a state,
+    with pytest.raises(ValueError):
+        fully_mixed(0, 2)  # but the fully mixed state needs a subsystem
 
 
 def test_dual_twirl_cycle_transposition_value():

@@ -94,7 +94,7 @@ def _mn(mask: int, alpha: Partition) -> int:
     if val is None:
         t = alpha[0] if alpha else 1
         if t == 1:  # chi^mu(1^m) = f_mu
-            val = dim_sym(_partition(mask))
+            val = _dim_sym(_partition(mask))
         else:
             rest = alpha[1:]
             val = 0
@@ -128,6 +128,11 @@ def _partition(mask: int) -> Partition:
 
 def dim_sym(lam: Partition) -> int:
     """f_lambda, the dimension of the symmetric-group irrep: hook length formula."""
+    return _dim_sym(as_partition(lam))
+
+
+def _dim_sym(lam: Partition) -> int:
+    """dim_sym on a canonical partition, unchecked: the all-ones leaf of _mn."""
     n = sum(lam)
     num = factorial(n)
     for row in hooks(lam):
@@ -142,6 +147,7 @@ def dim_unitary(lam: Partition, d: int) -> int:
     Hook-content product: prod over boxes (i,j) of (d + j - i) / hook(i,j).
     Zero when the diagram has more than d rows.
     """
+    lam = as_partition(lam)
     if d < 1:
         raise ValueError("d must be positive")
     if rows(lam) > d:

@@ -20,8 +20,9 @@ so that one can cross-validate the other:
 
 from __future__ import annotations
 
+from itertools import compress
 from math import factorial, prod
-from operator import mul
+from operator import mul, sub
 
 from .characters import _character_row, character_row, dim_sym, dim_unitary
 from .errors import ConsistencyError
@@ -49,30 +50,49 @@ def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
     row's v come before its v - 1, so that is the whole lattice condition).
     A state between rows is the content so far plus the row's ends, and
     equal states merge their counts, so nothing recurses.
+
+    The lattice condition also bounds the work.  A row can take only the
+    values used in earlier rows and the first unused one: every later
+    value has no room, so a state keeps the content of the used values
+    only, and its ends up to the first unused value.  Values whose room is
+    0 end where the value before them ends, so only the values with room
+    branch.  The count is 0 before any row is filled unless mu and nu both
+    fit inside lambda.
     """
-    n, k, m = sum(lam), sum(mu), sum(nu)
-    if k + m != n or not contains(mu, lam):
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
+    if sum(mu) + sum(nu) != sum(lam) or not contains(mu, lam) or not contains(nu, lam):
         return 0
-    if m == 0:
+    if not nu:
         return 1
-    inner = list(mu) + [0] * (len(lam) - len(mu))
-    # (content, ends): where the entries <= v end in the row above, for
-    # v = 0..len(nu); cells of mu count as 0, and the top row has no row above
-    states = {((0,) * len(nu), (lam[0],) * (len(nu) + 1)): 1}
+    inner = mu + (0,) * (len(lam) - len(mu))
+    # (content, ends): the count of each value used so far, and where the
+    # entries <= v end in the row above, for v = 0..len(content); cells of mu
+    # count as 0, and the top row has no row above
+    states = {((), (lam[0],)): 1}
     for length, start in zip(lam, inner):
         merged: dict[tuple, int] = {}
         for (content, above), ways in states.items():
-            # how many of each value the row may take
-            rooms = [min(bound, content[v - 1] if v else bound) - content[v]
-                     for v, bound in enumerate(nu)]
+            # how many of each value the row may take, and the values with room
+            rooms = list(map(sub, map(min, nu, (nu[0],) + content), content + (0,)))
+            places = list(compress(range(len(rooms)), rooms))
             fills, least = [(start,)], length - sum(rooms)
-            for v, room in enumerate(rooms):
+            for v in places:
+                room = rooms[v]
                 least += room  # the end the later values can still fill the row from
                 fills = [ends + (end,) for ends in fills
                          for end in range(max(ends[-1], least),
                                           min(length, above[v], ends[-1] + room) + 1)]
             for ends in fills:
-                key = (tuple(c + b - a for c, a, b in zip(content, ends, ends[1:])), ends)
+                grown, full, last, done = list(content), [], start, 0
+                for v, end in zip(places, ends[1:]):
+                    full += (last,) * (v + 1 - done)  # values without room end with the one before
+                    done, count, last = v + 1, end - last, end
+                    if v < len(grown):
+                        grown[v] += count
+                    elif count:
+                        grown.append(count)
+                full += (last,) * (len(grown) + 1 - done)
+                key = (tuple(grown), tuple(full))
                 merged[key] = merged.get(key, 0) + ways
         states = merged
     return sum(states.values())
@@ -132,6 +152,7 @@ def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
     The independent oracle of werner.trace_out_sym, through the check
     inner-sum-subsystem.
     """
+    lam, mu = as_partition(lam), as_partition(mu)
     m = sum(lam) - sum(mu)
     if m < 0:
         return 0
@@ -175,6 +196,7 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     Schur values (the tests and perfbench compare the two);
     partitions.skew_standard_count is in turn its brute-force oracle.
     """
+    outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
         return 0
     if outer and len(outer) > outer[0]:

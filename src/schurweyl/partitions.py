@@ -17,6 +17,9 @@ Partition = tuple[int, ...]
 
 _PLAIN_INT = frozenset((int,))  # exactly int: bool and numpy rows are not canonical
 
+# canonical tuples already accepted, each keyed by its value and mapped to itself
+_accepted: dict[Partition, Partition] = {}
+
 
 def as_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of row lengths.
@@ -26,6 +29,18 @@ def as_partition(parts) -> Partition:
     non-integral row is rejected, not rounded; numpy integers are accepted.
     A tuple of plain ints that is already canonical, the common case in
     every hot loop, is returned as it is instead of being rebuilt.
+
+    Such a tuple is entered in the module table _accepted, and so is every
+    partition partitions_of enumerates, so the same object is later
+    re-accepted in O(1), without its type and order scan.
+    The test is identity with the entry, not equality: (True, 1) and
+    (np.int64(1), 1) equal the accepted (1, 1) and hash alike, yet must
+    still be rejected or rebuilt, so an equal object that is not the entry
+    takes the full path.  The first accepted object of each value stays
+    the entry, so the table holds one tuple per distinct partition ever
+    accepted and never more; it holds only validated immutable values, so
+    nothing needs to clear it.  A lookup and an entry are each atomic under
+    the GIL, and a lost race only leaves an equal object as the entry.
     """
     if _canonical(parts):
         return parts
@@ -52,9 +67,18 @@ def as_cycle_type(parts) -> Partition:
 
 
 def _canonical(parts) -> bool:
-    """True for a tuple of plain ints (no bools) that is already a trimmed partition."""
-    return type(parts) is tuple and _PLAIN_INT.issuperset(map(type, parts)) and (
-        not parts or parts[-1] > 0 and all(map(ge, parts, parts[1:])))
+    """True for a tuple of plain ints (no bools) that is already a trimmed
+    partition; the object is then entered in _accepted if its value is new."""
+    try:
+        if _accepted.get(parts) is parts:
+            return True
+    except TypeError:  # unhashable: a list, or a tuple holding one
+        return False
+    if type(parts) is tuple and _PLAIN_INT.issuperset(map(type, parts)) and (
+            not parts or parts[-1] > 0 and all(map(ge, parts, parts[1:]))):
+        _accepted.setdefault(parts, parts)
+        return True
+    return False
 
 
 def _row(p) -> int:
@@ -90,7 +114,10 @@ def _partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
 
     def extend(prefix: list[int], remaining: int, cap: int, room: int) -> None:
         if remaining == 0:
-            out.append(tuple(prefix))
+            # built canonical; sharing the accepted object gives every row
+            # bound's list the same tuples, which as_partition re-accepts in O(1)
+            lam = tuple(prefix)
+            out.append(_accepted.setdefault(lam, lam))
             return
         if room == 0:
             return

@@ -7,8 +7,14 @@ special case.  The semistandard-tableau monomial sum is kept only as the
 independent oracle for small shapes.
 
 Shifted Schur values use the ratio of factorial determinants
-det[(lam_i + d - i) falling (mu_j + d - j)] / det[(lam_i + d - i) falling (d - j)].
-The normalization is pinned by the exact identity
+det[(a_i) falling (mu_j + d - 1 - j)] / det[(a_i) falling (d - 1 - j)] with
+a_i = lam_i + d - 1 - i (Okounkov-Olshanski, Shifted Schur functions,
+q-alg/9605042).  Each row of the numerator is one running product
+a_i (a_i - 1) ... up to the longest factorial.  Falling factorials are a
+monic basis, so column operations reduce the denominator to the
+Vandermonde determinant det[a_i^(d-1-j)] = prod_{i<j} (a_i - a_j), and
+only the numerator is eliminated.  The normalization is pinned by the
+exact identity
 f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test suite
 enforces rather than assumes.
 """
@@ -17,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .partitions import Partition, rows
+from .partitions import Partition, as_partition, rows
 
 Spectrum = Sequence
 
@@ -110,6 +116,7 @@ def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
     homogeneous values h_k come from h_k += x h_{k-1}, one entry x at a
     time.  Zero when mu has more rows than r has entries.
     """
+    mu = as_partition(mu)
     vals = [Fraction(x) for x in r]
     scale = lcm(*(v.denominator for v in vals))
     size = len(mu)
@@ -126,12 +133,18 @@ def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """Shifted Schur function s*_mu(lam), exact.
 
     d may be any integer >= the row counts of both diagrams; the value does
-    not depend on the choice.
+    not depend on the choice.  d = 0 with mu = lam = () gives 1.
     """
+    mu, lam = as_partition(mu), as_partition(lam)
     if d < rows(mu) or d < rows(lam):
         raise ValueError("d must cover the rows of both diagrams")
     a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
     m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
-    num = _det([[falling_factorial(ai, mj) for mj in m] for ai in a])
-    den = _det([[falling_factorial(ai, d - 1 - j) for j in range(d)] for ai in a])
-    return Fraction(num, den)
+    num = []
+    for ai in a:
+        falling = [1]  # falling[k] = ai (ai - 1) ... (ai - k + 1)
+        for k in range(m[0] if m else 0):
+            falling.append(falling[-1] * (ai - k))
+        num.append([falling[mj] for mj in m])
+    den = prod(ai - aj for i, ai in enumerate(a) for aj in a[i + 1:])
+    return Fraction(_det(num), den)

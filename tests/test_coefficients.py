@@ -74,6 +74,25 @@ def test_lr_row_count_equals_the_cell_enumerator():
     assert littlewood_richardson((1200,), (100,), (1100,)) == 1
 
 
+def test_lr_is_zero_unless_nu_fits_inside_lambda():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for nu in partitions_of(n - k):
+                    if contains(nu, lam):
+                        continue
+                    for mu in partitions_of(k):
+                        assert littlewood_richardson(lam, mu, nu) == 0 == reference_lr(lam, mu, nu)
+    assert littlewood_richardson((2, 2), (), (3, 1)) == 0
+    assert littlewood_richardson((1,) * 6, (1,), (2, 1, 1, 1)) == 0
+
+
+def test_lr_on_a_deep_column_is_one():
+    # 300 rows, a row state per row; each row may take only one new value
+    assert littlewood_richardson((1,) * 300, (1,) * 30, (1,) * 270) == 1
+    assert littlewood_richardson((1,) * 300, (1,) * 30, (1,) * 269) == 0
+
+
 def test_lr_two_paths_agree_exhaustively(check_passes):
     check_passes("lr-two-paths")
 

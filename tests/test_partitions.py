@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import factorial
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from schurweyl.characters import dim_sym, dim_unitary
+from schurweyl.coefficients import branching_sum_lr, dim_skew, littlewood_richardson
 from schurweyl.partitions import (
+    _accepted,
     as_cycle_type,
     as_partition,
     class_size,
@@ -20,6 +24,7 @@ from schurweyl.partitions import (
     partitions_of,
     skew_standard_count,
 )
+from schurweyl.symfunc import schur_eval, shifted_schur_eval
 
 
 @st.composite
@@ -137,6 +142,66 @@ def test_as_partition_validation():
     assert as_partition((2, 0)) == (2,) and as_partition((0,)) == ()
     assert as_partition((np.int64(2), 1, 0)) == (2, 1)
     assert all(type(p) is int for p in as_partition((np.int64(2), 1)))
+
+
+def test_accepted_tuples_are_reaccepted_by_identity_only():
+    ones, two_one = (1, 1), (2, 1)
+    assert as_partition(ones) is ones and as_partition(two_one) is two_one
+    # equal to an accepted tuple and hashed alike, but not canonical
+    for rows in ((True, 1), (1, True), (True, True)):
+        with pytest.raises(ValueError):
+            as_partition(rows)
+    rebuilt = as_partition((np.int64(2), 1))
+    assert rebuilt == (2, 1) and all(type(p) is int for p in rebuilt)
+    listed = as_partition([2, 1])
+    assert type(listed) is tuple and listed == (2, 1)
+    # a new value enters the table as the object itself, and an equal
+    # object accepted later neither replaces it nor is refused
+    lam, twin = tuple([901, 900, 7]), tuple([901, 900, 7])
+    assert lam not in _accepted
+    assert as_partition(lam) is lam and as_partition(lam) is lam
+    assert as_partition(twin) is twin and _accepted[lam] is lam
+    for rows in ((1, 2), (2, 1.0), (0, 1), ([1],)):
+        with pytest.raises(ValueError):
+            as_partition(rows)
+        assert not any(key is rows for key in _accepted)
+
+
+def test_enumerated_partitions_are_the_accepted_objects():
+    bounded, full = partitions_of(7, 3), partitions_of(7)
+    for lam in bounded:
+        assert _accepted[lam] is lam and lam in full
+        assert full[full.index(lam)] is lam
+
+
+SPECTRUM = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+
+# one partition argument of each public exact-layer function, as p -> value;
+# every value is nonzero at p = (2, 1)
+ENTRY_POINTS = {
+    "littlewood_richardson lam": lambda p: littlewood_richardson(p, (1,), (2,)),
+    "littlewood_richardson mu": lambda p: littlewood_richardson((3, 2), p, (2,)),
+    "littlewood_richardson nu": lambda p: littlewood_richardson((3, 2), (2,), p),
+    "branching_sum_lr lam": lambda p: branching_sum_lr(p, (1,), 2),
+    "branching_sum_lr mu": lambda p: branching_sum_lr((3, 2), p, 2),
+    "dim_skew outer": lambda p: dim_skew(p, (1,)),
+    "dim_skew inner": lambda p: dim_skew((3, 2), p),
+    "shifted_schur_eval mu": lambda p: shifted_schur_eval(p, (3, 2), 3),
+    "shifted_schur_eval lam": lambda p: shifted_schur_eval((1,), p, 3),
+    "schur_eval": lambda p: schur_eval(p, SPECTRUM),
+    "dim_sym": dim_sym,
+    "dim_unitary": lambda p: dim_unitary(p, 3),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_exact_layer_entry_points_validate_partitions(name):
+    call = ENTRY_POINTS[name]
+    for bad in ((1, 2), (True,), (2, -1)):
+        with pytest.raises(ValueError):
+            call(bad)
+    value = call((2, 1))
+    assert value and call((2, 1, 0)) == value and call([2, 1]) == value
 
 
 def test_parse_format_roundtrip():

@@ -152,6 +152,31 @@ def test_scaling_limit_rate(check_passes):
     check_passes("shifted-schur-scaling-limit")
 
 
+def _two_determinant_shifted_schur(mu, lam, d):
+    """s*_mu(lam) as det[(a_i) falling (m_j)] / det[(a_i) falling (d - 1 - j)],
+    both factorial determinants taken in full."""
+    a = [(lam[i] if i < len(lam) else 0) + d - 1 - i for i in range(d)]
+    m = [(mu[j] if j < len(mu) else 0) + d - 1 - j for j in range(d)]
+    num = _det([[falling_factorial(ai, mj) for mj in m] for ai in a])
+    den = _det([[falling_factorial(ai, d - 1 - j) for j in range(d)] for ai in a])
+    return Fraction(num, den)
+
+
+def test_shifted_schur_denominator_is_the_vandermonde_product():
+    pairs = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for mu in partitions_of(k):
+                    low = max(rows(lam), rows(mu))
+                    for d in range(low, low + 3):
+                        assert shifted_schur_eval(mu, lam, d) == \
+                            _two_determinant_shifted_schur(mu, lam, d), (mu, lam, d)
+                        pairs += 1
+    assert pairs > 3000
+    assert shifted_schur_eval((), (), 0) == 1 == _two_determinant_shifted_schur((), (), 0)
+
+
 def test_shifted_schur_rejects_insufficient_padding():
     with pytest.raises(ValueError):
         shifted_schur_eval((1, 1, 1), (3, 2, 1), 2)

@@ -29,10 +29,10 @@ from math import factorial
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _hooks,
     as_cycle_type,
     as_partition,
     class_sizes,
-    hooks,
     partitions_of,
     rows,
 )
@@ -135,7 +135,7 @@ def _dim_sym(lam: Partition) -> int:
     """dim_sym on a canonical partition, unchecked: the all-ones leaf of _mn."""
     n = sum(lam)
     num = factorial(n)
-    for row in hooks(lam):
+    for row in _hooks(lam):
         for h in row:
             num //= h
     return num
@@ -154,7 +154,7 @@ def dim_unitary(lam: Partition, d: int) -> int:
         return 0
     num = 1
     den = 1
-    hk = hooks(lam)
+    hk = _hooks(lam)
     for i in range(len(lam)):
         for j in range(lam[i]):
             num *= d + j - i

@@ -136,6 +136,11 @@ def _partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram (rows and columns interchanged)."""
+    return _conjugate(as_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate on a canonical partition, unchecked."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
@@ -152,9 +157,11 @@ def class_size(alpha: Partition) -> int:
     """Size of the conjugacy class of S_n with cycle type alpha.
 
     h_alpha = n! / z_alpha with z_alpha = prod_i i^{m_i} m_i! over the
-    multiplicities m_i of the part sizes i.  Not memoised; class_sizes(n)
-    is the memo.
+    multiplicities m_i of the part sizes i.  alpha may list its cycle
+    lengths in any order; anything else raises ValueError.  Not memoised;
+    class_sizes(n) is the memo.
     """
+    alpha = as_cycle_type(alpha)
     n, z = 0, 1
     mult: dict[int, int] = {}
     for part in alpha:
@@ -211,12 +218,13 @@ def hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:
 
     Memoised; rows are tuples, so a caller cannot corrupt the memo.
     """
-    return _hooks(tuple(lam))
+    return _hooks(as_partition(lam))
 
 
 @lru_cache(maxsize=None)
 def _hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    conj = conjugate(lam)
+    """hooks on a canonical partition, unchecked."""
+    conj = _conjugate(lam)
     return tuple(
         tuple(lam[i] - (j + 1) + conj[j] - i for j in range(lam[i]))
         for i in range(len(lam))

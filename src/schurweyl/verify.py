@@ -3,18 +3,21 @@
 Each check recomputes one family of identities or bounds from scratch over
 fixed ranges.  It is written as a generator of (case, ok) pairs: case holds
 the parameters of one case as JSON-able data (ints, strings, and tuples or
-lists of them; spectra as "a/b" strings).  The `_tallied` decorator makes
-it the module-level `check_*(*, seed) -> dict` that counts its
-pairs through `_tally` into the report {check, lhs, rhs, pass, cases,
-failures, counterexample}: lhs reads "F failures in N cases" and
-counterexample is the first failing case, or None.  The counting happens
-inside the check's own call, so timing a `check_*` binding times its work.
+lists of them; spectra as "a/b" strings).  The `_check(registry)` decorator
+makes it the module-level `check_*(*, seed) -> dict` that counts its pairs
+through `_tally` into the report {check, lhs, rhs, pass, cases, failures,
+counterexample}: lhs reads "F failures in N cases" and counterexample is the
+first failing case, or None.  The counting happens inside the check's own
+call, so timing a `check_*` binding times its work.
 
-Three module-level dicts map report name to check, in run order: FORMULAS
+The decorator also registers the check: its report name is the function
+name without `check_`, underscores turned into dashes, so
+`check_kronecker_symmetry` reports as "kronecker-symmetry" and a report
+name is written nowhere else.  There are three registries, each a dict from
+report name to check in definition order, which is run order: FORMULAS
 (pure weight calculus), BOUNDS (the distance bounds) and ORACLE (everything
 rebuilt as dense matrices and re-measured).  SUITES names them for
-`run_suite`.  A report name is written only here, as a registry key; `_run`
-stamps it on the report.
+`run_suite`; `_run` stamps the name on the report.
 
 Every check takes the keyword-only argument seed, used or not, so one loop
 runs them all; the oracle checks build under the size cap in force
@@ -89,20 +92,32 @@ def _tally(pairs: Iterable[tuple[object, bool]]) -> dict:
             "counterexample": counterexample}
 
 
-def _tallied(cases: Callable[..., Cases]) -> Callable[..., dict]:
-    """A check that runs the generator `cases` to the end and returns its tally."""
-    @functools.wraps(cases)
-    def check(*, seed: int) -> dict:
-        return _tally(cases(seed=seed))
+# report name -> check, in run order; filled by @_check below
+FORMULAS: dict[str, Callable[..., dict]] = {}
+BOUNDS: dict[str, Callable[..., dict]] = {}
+ORACLE: dict[str, Callable[..., dict]] = {}
+SUITES = {"formulas": FORMULAS, "bounds": BOUNDS, "oracle": ORACLE}
 
-    return check
+
+def _check(registry: dict[str, Callable[..., dict]]):
+    """Make the generator `cases` a check that runs it to the end and returns
+    its tally, and register that check in `registry` under its report name."""
+    def register(cases: Callable[..., Cases]) -> Callable[..., dict]:
+        @functools.wraps(cases)
+        def check(*, seed: int) -> dict:
+            return _tally(cases(seed=seed))
+
+        registry[cases.__name__.removeprefix("check_").replace("_", "-")] = check
+        return check
+
+    return register
 
 
 def _spectrum(r: tuple[Fraction, ...]) -> tuple[str, ...]:
     return tuple(f"{x.numerator}/{x.denominator}" for x in r)
 
 
-@_tallied
+@_check(FORMULAS)
 def check_character_orthogonality(*, seed: int) -> Cases:
     """Row and column orthogonality of the character table of S_n, exact:
     sum_alpha h_alpha chi^l(alpha) chi^m(alpha) = n! delta_lm and
@@ -117,7 +132,7 @@ def check_character_orthogonality(*, seed: int) -> Cases:
             for a in parts for b in parts)
 
 
-@_tallied
+@_check(FORMULAS)
 def check_dimension_identities(*, seed: int) -> Cases:
     for n in range(1, 7):
         squares = sum(dim_sym(lam) ** 2 for lam in partitions_of(n))
@@ -129,7 +144,7 @@ def check_dimension_identities(*, seed: int) -> Cases:
                 yield ("e two paths", lam, d), dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
 
 
-@_tallied
+@_check(FORMULAS)
 def check_lr_two_paths(*, seed: int) -> Cases:
     for n in range(1, 7):
         for lam in partitions_of(n):
@@ -140,8 +155,8 @@ def check_lr_two_paths(*, seed: int) -> Cases:
                                               == littlewood_richardson_char(lam, mu, nu))
 
 
-@_tallied
-def check_kron_symmetry(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_kronecker_symmetry(*, seed: int) -> Cases:
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
@@ -152,7 +167,7 @@ def check_kron_symmetry(*, seed: int) -> Cases:
                         yield ((lam, mu, nu), (a, b, c)), kronecker(a, b, c) == base
 
 
-@_tallied
+@_check(FORMULAS)
 def check_kronecker_row_bound(*, seed: int) -> Cases:
     """Some nu with few rows couples to every (lam, mu) pair."""
     for n in range(1, 7):
@@ -163,8 +178,8 @@ def check_kronecker_row_bound(*, seed: int) -> Cases:
                 yield (lam, mu), any(kronecker(lam, mu, nu) > 0 for nu in partitions_of(n, cap))
 
 
-@_tallied
-def check_inner_sum_lr(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_inner_sum_subsystem(*, seed: int) -> Cases:
     """f * s*_mu(lam) / (n falling k) = sum_nu c f_nu = skew count, exactly."""
     for n in range(1, 8):
         for lam in partitions_of(n):
@@ -180,7 +195,7 @@ def check_inner_sum_lr(*, seed: int) -> Cases:
                     yield (lam, mu), via_skew == via_lr == via_shifted
 
 
-@_tallied
+@_check(FORMULAS)
 def check_inner_sum_vanishing(*, seed: int) -> Cases:
     """Outside containment the shifted Schur value and the sums vanish."""
     for n in range(1, 7):
@@ -194,8 +209,8 @@ def check_inner_sum_vanishing(*, seed: int) -> Cases:
                                       and branching_sum_lr(lam, mu, n) == 0)
 
 
-@_tallied
-def check_inner_sum_kron(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_inner_sum_inner_trace(*, seed: int) -> Cases:
     """n! * sum_nu g e^q_nu = value of the character polynomial at q."""
     for n in range(1, 7):
         parts = partitions_of(n)
@@ -206,10 +221,11 @@ def check_inner_sum_kron(*, seed: int) -> Cases:
                     yield (lam, mu, q), factorial(n) * branching_sum_kron(lam, mu, q) == poly(q)
 
 
-@_tallied
-def check_chi_poly_symmetries(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_character_polynomial_symmetries(*, seed: int) -> Cases:
     """Symmetry in the pair, conjugate-pair equality, sign rule under one
-    conjugation, and orthogonality at q=1."""
+    conjugation, orthogonality at q=1, and degree n with leading coefficient
+    f_lam f_mu and no constant term."""
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
@@ -220,11 +236,12 @@ def check_chi_poly_symmetries(*, seed: int) -> Cases:
                 b = character_polynomial(conjugate(lam), mu)
                 ok = ok and all(b(q) == (-1) ** n * a(-q) for q in range(-n, n + 1))
                 ok = ok and a(1) == (factorial(n) if lam == mu else 0)
-                ok = ok and (not a.coeffs or a.coeffs[0] == 0)
+                ok = ok and a.degree == n and a.coeffs[0] == 0
+                ok = ok and a.coeffs[-1] == dim_sym(lam) * dim_sym(mu)
                 yield (lam, mu), ok
 
 
-@_tallied
+@_check(FORMULAS)
 def check_root_structure(*, seed: int) -> Cases:
     """Contiguous integer roots around 0, the row bound on q+, and q+ = 1
     exactly on the diagonal.  root_range raises if structure is broken."""
@@ -237,15 +254,15 @@ def check_root_structure(*, seed: int) -> Cases:
                 except Exception:
                     yield (lam, mu), False
                     continue
-                ok = 0 in rr.roots or (rr.q_plus == 1 and lam == mu)
+                ok = 0 in rr.roots
                 ok = ok and rr.roots == list(range(rr.q_minus + 1, rr.q_plus))
                 ok = ok and rr.q_plus <= max(len(lam), len(mu))
                 ok = ok and ((rr.q_plus == 1) == (lam == mu))
                 yield (lam, mu), ok
 
 
-@_tallied
-def check_trace_states(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_trace_maps_preserve_states(*, seed: int) -> Cases:
     """Both trace maps return genuine states: non-negative weights, sum 1."""
     for n in range(1, 6):
         for d in range(1, 5):
@@ -258,8 +275,8 @@ def check_trace_states(*, seed: int) -> Cases:
                     yield ("dual", lam, p, q), dual_trace(lam, p, q).is_state()
 
 
-@_tallied
-def check_cycle_sum(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_cycle_sum_recombination(*, seed: int) -> Cases:
     for n in range(1, 5):
         for p in (2, 3):
             for q in (2, 3):
@@ -268,8 +285,8 @@ def check_cycle_sum(*, seed: int) -> Cases:
                     yield (lam, p, q), recombine_cycle_sum(coeffs, p) == dual_trace(lam, p, q)
 
 
-@_tallied
-def check_dual_twirl_trace(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_cycle_operator_trace(*, seed: int) -> Cases:
     for n in range(1, 7):
         for d in range(1, 6):
             for alpha in partitions_of(n):
@@ -277,40 +294,8 @@ def check_dual_twirl_trace(*, seed: int) -> Cases:
                 yield (alpha, d), w.total() == Fraction(d ** rows(alpha), d**n)
 
 
-def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
-    raw = [Fraction(rng.randint(1, 12), 1) for _ in range(d)]
-    total = sum(raw)
-    return tuple(sorted((x / total for x in raw), reverse=True))
-
-
-@_tallied
-def check_twirl_sum(*, seed: int) -> Cases:
-    """Twirled powers are states; pure and fully mixed specializations."""
-    rng = random.Random(seed)
-    for d in (2, 3):
-        for k in (1, 2, 3):
-            for _ in range(4):
-                r = _random_spectrum(rng, d)
-                yield (_spectrum(r), k), twirl_power(r, k).is_state()
-            pure = twirl_power((1,) + (0,) * (d - 1), k)
-            yield ("pure", d, k), pure.weight((k,)) == 1
-            flat = twirl_power((Fraction(1, d),) * d, k)
-            yield ("fully mixed", d, k), flat == fully_mixed(k, d)
-
-
-@_tallied
-def check_schur_two_paths(*, seed: int) -> Cases:
-    rng = random.Random(seed)
-    shapes = [mu for k in range(1, 5) for mu in partitions_of(k)]
-    for d in (2, 3, 4):
-        for _ in range(3):
-            r = _random_spectrum(rng, d)
-            for mu in shapes:
-                yield (mu, _spectrum(r)), schur_eval(mu, r) == schur_eval_tableau(mu, list(r))
-
-
-@_tallied
-def check_shifted_schur_scaling(*, seed: int) -> Cases:
+@_check(FORMULAS)
+def check_shifted_schur_scaling_limit(*, seed: int) -> Cases:
     """Scaled diagrams: the normalized shifted value approaches the Schur
     value monotonically at an O(1/m) rate (ratio within a factor 2 of 10
     per decade of m)."""
@@ -328,8 +313,40 @@ def check_shifted_schur_scaling(*, seed: int) -> Cases:
         yield (mu, lam), ok
 
 
-@_tallied
-def check_dual_definetti_weights(*, seed: int) -> Cases:
+def _random_spectrum(rng: random.Random, d: int) -> tuple[Fraction, ...]:
+    raw = [Fraction(rng.randint(1, 12), 1) for _ in range(d)]
+    total = sum(raw)
+    return tuple(sorted((x / total for x in raw), reverse=True))
+
+
+@_check(FORMULAS)
+def check_twirl_power_weights(*, seed: int) -> Cases:
+    """Twirled powers are states; pure and fully mixed specializations."""
+    rng = random.Random(seed)
+    for d in (2, 3):
+        for k in (1, 2, 3):
+            for _ in range(4):
+                r = _random_spectrum(rng, d)
+                yield (_spectrum(r), k), twirl_power(r, k).is_state()
+            pure = twirl_power((1,) + (0,) * (d - 1), k)
+            yield ("pure", d, k), pure.weight((k,)) == 1
+            flat = twirl_power((Fraction(1, d),) * d, k)
+            yield ("fully mixed", d, k), flat == fully_mixed(k, d)
+
+
+@_check(FORMULAS)
+def check_schur_evaluation_paths(*, seed: int) -> Cases:
+    rng = random.Random(seed)
+    shapes = [mu for k in range(1, 5) for mu in partitions_of(k)]
+    for d in (2, 3, 4):
+        for _ in range(3):
+            r = _random_spectrum(rng, d)
+            for mu in shapes:
+                yield (mu, _spectrum(r)), schur_eval(mu, r) == schur_eval_tableau(mu, list(r))
+
+
+@_check(BOUNDS)
+def check_dual_definetti_weight_sweep(*, seed: int) -> Cases:
     """Distance from the traced state to fully mixed obeys the exact bound,
     strictly for n >= 2 (at n = 1 both sides are 0), for every diagram in
     range.  Pure rational comparison, no tolerance."""
@@ -343,7 +360,7 @@ def check_dual_definetti_weights(*, seed: int) -> Cases:
                     yield (lam, p, q), dist < bound or (dist == bound and n == 1)
 
 
-@_tallied
+@_check(BOUNDS)
 def check_dual_definetti_asymptote(*, seed: int) -> Cases:
     """For large q the exact bound is within 1% of 2n(n-1)/q."""
     for n in (2, 3):
@@ -353,8 +370,8 @@ def check_dual_definetti_asymptote(*, seed: int) -> Cases:
         yield (n, q), abs(exact - lead) <= lead / 100
 
 
-@_tallied
-def check_sym_definetti_regime(*, seed: int) -> Cases:
+@_check(BOUNDS)
+def check_sym_definetti_dominant_regime(*, seed: int) -> Cases:
     """Subsystem-trace distance to the twirled power state obeys the leading
     bound in the regime lam_min >= 20 k^2 where that term dominates."""
     for k, lam in ((2, (160, 80)), (3, (360, 180)), (2, (120, 100, 80))):
@@ -363,8 +380,8 @@ def check_sym_definetti_regime(*, seed: int) -> Cases:
         yield (lam, k), dist <= definetti_bound_sym(k, lam[-1])
 
 
-@_tallied
-def check_bound_edges(*, seed: int) -> Cases:
+@_check(BOUNDS)
+def check_bound_edge_cases(*, seed: int) -> Cases:
     yield "dual(1, 7) = 0, dual(2, 2) = 3/2", (definetti_bound_dual(1, 7) == 0
                                                and definetti_bound_dual(2, 2) == Fraction(3, 2))
     yield "sym(1, 5) = 0", definetti_bound_sym(1, 5) == 0
@@ -379,8 +396,8 @@ def check_bound_edges(*, seed: int) -> Cases:
 # --- oracle suite ----------------------------------------------------------
 
 
-@_tallied
-def check_perm_traces(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_permutation_traces(*, seed: int) -> Cases:
     for n in (2, 3):
         for d in (2, 3):
             for pi in permutations(range(n)):
@@ -388,8 +405,8 @@ def check_perm_traces(*, seed: int) -> Cases:
                 yield (pi, d), op.trace() == d ** rows(oracle.cycle_type(pi))
 
 
-@_tallied
-def check_sw_families(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_duality_projector_families(*, seed: int) -> Cases:
     """Orthogonality, completeness and traces of the duality projectors."""
     for d, n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (6, 2), (4, 3)):
         parts = partitions_of(n, d)
@@ -408,8 +425,8 @@ def check_sw_families(*, seed: int) -> Cases:
         yield (n, d), ok
 
 
-@_tallied
-def check_trace_formula_oracle(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_subsystem_trace_oracle(*, seed: int) -> Cases:
     """Dense partial trace of each block state is a state and equals the
     weight formula."""
     for d in range(2, 4):
@@ -426,8 +443,8 @@ def check_trace_formula_oracle(*, seed: int) -> Cases:
                     yield (lam, k, d), ok
 
 
-@_tallied
-def check_dual_trace_oracle(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_inner_trace_oracle(*, seed: int) -> Cases:
     """Dense inner partial trace equals the dual weight formula, both for the
     full block state and for a single-irrep copy."""
     for p, q, n in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
@@ -445,8 +462,8 @@ def check_dual_trace_oracle(*, seed: int) -> Cases:
             yield (lam, p, q), ok
 
 
-@_tallied
-def check_dual_twirl_oracle(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_cycle_operator_oracle(*, seed: int) -> Cases:
     """Averaged permutation operators expand with the predicted coefficients,
     including the (2,1) at d=3 value (10/27, 0, -1/27)."""
     for d in (2, 3):
@@ -460,8 +477,8 @@ def check_dual_twirl_oracle(*, seed: int) -> Cases:
         (3,): Fraction(10, 27), (2, 1): Fraction(0), (1, 1, 1): Fraction(-1, 27)}
 
 
-@_tallied
-def check_young_projectors(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_tableau_projectors(*, seed: int) -> Cases:
     """Idempotence, symmetry, trace (= rank = unitary dimension), the
     symmetric-subspace and antisymmetrizer specializations, and the
     permutation average collapsing to the block projector."""
@@ -485,8 +502,8 @@ def check_young_projectors(*, seed: int) -> Cases:
     yield ("average is the block state", t21, 2), avg.same_as(want)
 
 
-@_tallied
-def check_twirl_projection_oracle(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_twirl_power_oracle(*, seed: int) -> Cases:
     """For diagonal states the dense block projections of sigma^(x k) match
     the twirled-power weights exactly."""
     rng = random.Random(seed)
@@ -502,8 +519,8 @@ def check_twirl_projection_oracle(*, seed: int) -> Cases:
             yield (_spectrum(r), k), wts == dict(twirl_power(r, k).weights)
 
 
-@_tallied
-def check_general_dual_oracle(*, seed: int) -> Cases:
+@_check(ORACLE)
+def check_general_dual_definetti(*, seed: int) -> Cases:
     """Single-irrep states of shape (2,1): bound, remainder positivity and
     monotone approach to fully mixed over the q sweep."""
     t21 = oracle.first_standard_tableau((2, 1))
@@ -517,7 +534,7 @@ def check_general_dual_oracle(*, seed: int) -> Cases:
     yield (t2, 2, 3), oracle.verify_general_dual(t2, 2, 3)["pass"]
 
 
-@_tallied
+@_check(ORACLE)
 def check_trace_norm_paths(*, seed: int) -> Cases:
     """Float trace norm agrees with the exact weight-difference norm for
     operators diagonal in the duality basis."""
@@ -530,7 +547,7 @@ def check_trace_norm_paths(*, seed: int) -> Cases:
     yield ("projector", (2,), 2), abs(oracle.trace_norm(proj) - float(proj.trace())) <= 1e-9
 
 
-@_tallied
+@_check(ORACLE)
 def check_partial_trace_rules(*, seed: int) -> Cases:
     """Product states reduce factor-wise and traces are preserved."""
     a = np.empty((2, 2), dtype=object)
@@ -547,49 +564,6 @@ def check_partial_trace_rules(*, seed: int) -> Cases:
     yield "inner trace", inner.same_as(want) and inner.trace() == ab4.trace()
     full = oracle.partial_trace_subsystems(ab, 2)
     yield "keep 2 of 2", full.same_as(ab)
-
-
-# report name -> check, in run order
-FORMULAS = {
-    "character-orthogonality": check_character_orthogonality,
-    "dimension-identities": check_dimension_identities,
-    "lr-two-paths": check_lr_two_paths,
-    "kronecker-symmetry": check_kron_symmetry,
-    "kronecker-row-bound": check_kronecker_row_bound,
-    "inner-sum-subsystem": check_inner_sum_lr,
-    "inner-sum-vanishing": check_inner_sum_vanishing,
-    "inner-sum-inner-trace": check_inner_sum_kron,
-    "character-polynomial-symmetries": check_chi_poly_symmetries,
-    "root-structure": check_root_structure,
-    "trace-maps-preserve-states": check_trace_states,
-    "cycle-sum-recombination": check_cycle_sum,
-    "cycle-operator-trace": check_dual_twirl_trace,
-    "shifted-schur-scaling-limit": check_shifted_schur_scaling,
-    "twirl-power-weights": check_twirl_sum,
-    "schur-evaluation-paths": check_schur_two_paths,
-}
-
-BOUNDS = {
-    "dual-definetti-weight-sweep": check_dual_definetti_weights,
-    "dual-definetti-asymptote": check_dual_definetti_asymptote,
-    "sym-definetti-dominant-regime": check_sym_definetti_regime,
-    "bound-edge-cases": check_bound_edges,
-}
-
-ORACLE = {
-    "permutation-traces": check_perm_traces,
-    "duality-projector-families": check_sw_families,
-    "subsystem-trace-oracle": check_trace_formula_oracle,
-    "inner-trace-oracle": check_dual_trace_oracle,
-    "cycle-operator-oracle": check_dual_twirl_oracle,
-    "tableau-projectors": check_young_projectors,
-    "twirl-power-oracle": check_twirl_projection_oracle,
-    "general-dual-definetti": check_general_dual_oracle,
-    "trace-norm-paths": check_trace_norm_paths,
-    "partial-trace-rules": check_partial_trace_rules,
-}
-
-SUITES = {"formulas": FORMULAS, "bounds": BOUNDS, "oracle": ORACLE}
 
 
 def _run(name: str, check, seed: int = 0) -> dict:

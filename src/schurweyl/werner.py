@@ -81,16 +81,20 @@ class WernerWeights:
     For states all weights are non-negative and sum to 1; symmetrised cycle
     operators reuse the same container with is_state() False.  Immutable
     attributes; equal vectors agree on every weight, and the hash is that
-    of (n, d).
+    of (n, d).  Keys are stored as canonical partitions; a key that is not a
+    partition raises ValueError.
     """
 
     __slots__ = ("n", "d", "weights")
 
     def __init__(self, n: int, d: int, weights: dict[Partition, Fraction]):
-        for mu in weights:
+        canonical = {as_partition(mu): w for mu, w in weights.items()}
+        if len(canonical) < len(weights):
+            raise ValueError("two keys name the same partition")
+        for mu in canonical:
             if rows(mu) > d or sum(mu) != n:
                 raise ValueError(f"{mu} is not in Par({n},{d})")
-        for name, value in (("n", n), ("d", d), ("weights", weights)):
+        for name, value in (("n", n), ("d", d), ("weights", canonical)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -143,10 +143,6 @@ def test_dim_unitary_two_paths_agree():
                 assert dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
 
 
-def test_character_table_orthogonality_small(check_passes):
-    check_passes("character-orthogonality")
-
-
 def test_character_table_rows():
     classes = partitions_of(3)
     assert classes == [(3,), (2, 1), (1, 1, 1)]

@@ -79,10 +79,6 @@ def test_lr_row_count_equals_the_cell_enumerator():
     assert littlewood_richardson((1,) * 300, (1,) * 30, (1,) * 269) == 0
 
 
-def test_lr_two_paths_agree_exhaustively(check_passes):
-    check_passes("lr-two-paths")
-
-
 def test_lr_symmetry_in_lower_pair():
     for n in range(2, 6):
         for lam in partitions_of(n):
@@ -145,24 +141,12 @@ def test_kronecker_canonicalises_its_arguments():
         branching_sum_kron((1, 2), (2, 1), 2)
 
 
-def test_kronecker_permutation_symmetry(check_passes):
-    check_passes("kronecker-symmetry")
-
-
-def test_kronecker_row_bound(check_passes):
-    check_passes("kronecker-row-bound")
-
-
 def test_branching_sum_lr_examples():
     assert branching_sum_lr((2, 1), (1,), 2) == 2
     for n in range(1, 6):
         for lam in partitions_of(n):
             assert branching_sum_lr(lam, lam, n) == 1
     assert branching_sum_lr((3, 1), (2, 2), 4) == 0
-
-
-def test_branching_sum_lr_equals_skew_count(check_passes):
-    check_passes("inner-sum-subsystem")
 
 
 def test_branching_sum_kron_examples():

@@ -92,6 +92,10 @@ def test_class_size_examples():
     for n in range(1, 7):
         assert class_size((n,)) == factorial(n - 1)
     assert class_size([2, 1]) == class_size((2, 1))  # any sequence of parts
+    assert class_size((1, 2)) == 3  # in any order
+    for bad in ((True, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            class_size(bad)
 
 
 def test_class_sizes_sum_to_group_order():
@@ -191,6 +195,8 @@ ENTRY_POINTS = {
     "schur_eval": lambda p: schur_eval(p, SPECTRUM),
     "dim_sym": dim_sym,
     "dim_unitary": lambda p: dim_unitary(p, 3),
+    "hooks": hooks,
+    "conjugate": conjugate,
 }
 
 

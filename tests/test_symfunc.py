@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurweyl.characters import dim_sym, dim_unitary
 from schurweyl.coefficients import dim_skew
-from schurweyl.partitions import contains, normalized, partitions_of, rows
+from schurweyl.partitions import normalized, partitions_of, rows
 from schurweyl.symfunc import (
     _det,
     falling_factorial,
@@ -107,17 +107,6 @@ def test_shifted_schur_single_box_is_the_size():
             assert shifted_schur_eval((1,), lam, d) == n
 
 
-def test_shifted_schur_vanishes_outside_containment(check_passes):
-    check_passes("inner-sum-vanishing")
-    # and is positive inside it
-    for n in range(1, 7):
-        for lam in partitions_of(n):
-            for k in range(n + 1):
-                for mu in partitions_of(k):
-                    if contains(mu, lam):
-                        assert shifted_schur_eval(mu, lam, max(rows(lam), rows(mu))) > 0
-
-
 def test_shifted_schur_examples():
     assert shifted_schur_eval((1,), (2, 1), 2) == 3
     assert shifted_schur_eval((2,), (2, 1), 2) == 3
@@ -128,10 +117,6 @@ def test_shifted_schur_is_independent_of_the_padding():
     for d in range(2, 6):
         assert shifted_schur_eval((2,), (2, 1), d) == 3
         assert shifted_schur_eval((1, 1), (2, 1), d) == 3
-
-
-def test_inner_sum_identity(check_passes):
-    check_passes("inner-sum-subsystem")
 
 
 def test_scaling_limit_values():
@@ -146,10 +131,6 @@ def test_scaling_limit_values():
         val = Fraction(shifted_schur_eval((2,), lam, 2), falling_factorial(3 * m, 2))
         deltas.append(abs(val - target))
     assert deltas == [Fraction(5, 18), Fraction(5, 261), Fraction(5, 2691)]
-
-
-def test_scaling_limit_rate(check_passes):
-    check_passes("shifted-schur-scaling-limit")
 
 
 def _two_determinant_shifted_schur(mu, lam, d):

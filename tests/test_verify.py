@@ -14,6 +14,11 @@ NAMES = [name for registry in verify.SUITES.values() for name in registry]
 
 def test_report_names_are_unique():
     assert len(NAMES) == len(set(NAMES)) == 30
+    # a report name is spelt once, in its check's function name
+    for registry in verify.SUITES.values():
+        for name, check in registry.items():
+            assert check.__name__ == "check_" + name.replace("-", "_")
+            assert getattr(verify, check.__name__) is check
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -86,7 +91,7 @@ def test_every_check_call_goes_through_a_rebindable_binding(monkeypatch):
     assert len(results) == len(reports) == len(verify.BOUNDS)
     for result in results:
         assert isinstance(result, dict) and {"pass", "cases", "failures"} <= set(result)
-    assert verify.BOUNDS["bound-edge-cases"] is verify.check_bound_edges  # restored
+    assert verify.BOUNDS["bound-edge-cases"] is verify.check_bound_edge_cases  # restored
 
 
 def test_character_cache_tolerates_concurrent_use():

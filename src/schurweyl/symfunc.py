@@ -40,9 +40,23 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
+def _bareiss_step(a: list[list[int]], col: int, prev: int) -> None:
+    """One fraction-free Bareiss step (Math. Comp. 22, 1968), in place: with
+    pivot a[col][col], each entry x right of col in a row below col becomes
+    (x * pivot - row[col] * a[col][c]) / prev, prev being the previous pivot
+    (1 before the first step).  Every division is exact, so entries stay
+    integers.
+    """
+    top = a[col]
+    pivot = top[col]
+    for row in a[col + 1:]:
+        lead = row[col]
+        for c in range(col + 1, len(top)):
+            row[c] = (row[c] * pivot - lead * top[c]) // prev
+
+
 def _det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination (Math. Comp.
-    22, 1968): every division is exact, so entries stay integers.  Rows are
+    """Determinant of an integer matrix by Bareiss elimination.  Rows are
     swapped only when a pivot is zero; the 0 x 0 determinant is 1.
     """
     a = [list(row) for row in m]
@@ -55,13 +69,31 @@ def _det(m: list[list[int]]) -> int:
                 return 0
             a[col], a[swap] = a[swap], a[col]
             sign = -sign
-        top = a[col]
-        for row in a[col + 1:]:
-            lead = row[col]
-            for c in range(col + 1, size):
-                row[c] = (row[c] * top[col] - lead * top[c]) // prev
-        prev = top[col]
+        _bareiss_step(a, col, prev)
+        prev = a[col][col]
     return sign * prev
+
+
+def _is_psd(m: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive semidefinite, exactly.
+
+    Bareiss elimination on the diagonal pivots, which keeps the trailing
+    block symmetric: while every earlier pivot is positive, the next one
+    has the sign of the next Schur complement pivot.  A negative pivot
+    fails; a zero pivot passes only with a zero row (otherwise a 2 x 2
+    principal minor is negative), and then its step is skipped, which drops
+    that row and column.
+    """
+    a = [list(row) for row in m]
+    prev = 1
+    for col in range(len(a)):
+        pivot = a[col][col]
+        if pivot < 0 or (pivot == 0 and any(a[col][col + 1:])):
+            return False
+        if pivot:
+            _bareiss_step(a, col, prev)
+            prev = pivot
+    return True
 
 
 def semistandard_tableaux(shape: Partition, d: int) -> Iterator[tuple[int, ...]]:

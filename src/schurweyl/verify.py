@@ -35,7 +35,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -276,6 +276,22 @@ def check_trace_maps_preserve_states(*, seed: int) -> Cases:
 
 
 @_check(FORMULAS)
+def check_column_dual_cauchy(*, seed: int) -> Cases:
+    """The column in closed form: dual_trace((1^n), p, q) has
+    a_mu = e^p_mu e^q_mu' / C(pq, n), by the dual Cauchy identity
+    sum_mu s_mu(x) s_mu'(y) = prod_ij (1 + x_i y_j) (Macdonald I.4)."""
+    for n in range(1, 6):
+        col = (1,) * n
+        for p in range(1, 5):
+            for q in range(1, 5):
+                if n > p * q:
+                    continue
+                want = {mu: Fraction(dim_unitary(mu, p) * dim_unitary(conjugate(mu), q),
+                                     comb(p * q, n)) for mu in partitions_of(n, p)}
+                yield (col, p, q), dual_trace(col, p, q).weights == want
+
+
+@_check(FORMULAS)
 def check_cycle_sum_recombination(*, seed: int) -> Cases:
     for n in range(1, 5):
         for p in (2, 3):
@@ -446,7 +462,8 @@ def check_subsystem_trace_oracle(*, seed: int) -> Cases:
 @_check(ORACLE)
 def check_inner_trace_oracle(*, seed: int) -> Cases:
     """Dense inner partial trace equals the dual weight formula, both for the
-    full block state and for a single-irrep copy."""
+    full block state and for a single-irrep copy; on the copy it also equals
+    the trace taken in the group algebra."""
     for p, q, n in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
         for lam in partitions_of(n, p * q):
             expect = dict(dual_trace(lam, p, q).weights)
@@ -455,10 +472,11 @@ def check_inner_trace_oracle(*, seed: int) -> Cases:
             red = oracle.partial_trace_inner(rho, p, q)
             ok = oracle.schur_weyl_weights(red) == expect
             ok = ok and oracle.werner_combination(dual_trace(lam, p, q)).same_as(red)
-            single = (oracle.young_projector(oracle.first_standard_tableau(lam), p * q)
-                      * Fraction(1, dim_unitary(lam, p * q)))
+            t = oracle.first_standard_tableau(lam)
+            single = oracle.young_projector(t, p * q) * Fraction(1, dim_unitary(lam, p * q))
             red2 = oracle.partial_trace_inner(single, p, q)
             ok = ok and oracle.schur_weyl_weights(red2) == expect
+            ok = ok and red2.same_as(oracle._traced_tableau_state(t, p, q))
             yield (lam, p, q), ok
 
 
@@ -521,8 +539,16 @@ def check_twirl_power_oracle(*, seed: int) -> Cases:
 
 @_check(ORACLE)
 def check_general_dual_definetti(*, seed: int) -> Cases:
-    """Single-irrep states of shape (2,1): bound, remainder positivity and
-    monotone approach to fully mixed over the q sweep."""
+    """Single-irrep states of every standard tableau with n <= 3, at
+    p in {2, 3} and q in {n, n+1, 3n}: the distance bound and the exact
+    positivity of the remainder.  Then the (2,1) sweep over q = 3..6 at
+    p = 2 approaches fully mixed monotonically."""
+    for n in range(1, 4):
+        for shape in partitions_of(n):
+            for t in oracle.standard_tableaux(shape):
+                for p in (2, 3):
+                    for q in (n, n + 1, 3 * n):
+                        yield (t, p, q), oracle.verify_general_dual(t, p, q)["pass"]
     t21 = oracle.first_standard_tableau((2, 1))
     deltas = []
     for q in range(3, 7):
@@ -530,8 +556,6 @@ def check_general_dual_definetti(*, seed: int) -> Cases:
         deltas.append(rep["delta"])
         yield (t21, 2, q), rep["pass"]
     yield ("distance falls as q grows", t21, 2), all(a > b for a, b in zip(deltas, deltas[1:]))
-    t2 = oracle.first_standard_tableau((2,))
-    yield (t2, 2, 3), oracle.verify_general_dual(t2, 2, 3)["pass"]
 
 
 @_check(ORACLE)

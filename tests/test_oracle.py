@@ -8,7 +8,13 @@ import pytest
 
 from schurweyl import oracle
 from schurweyl.characters import dim_sym, dim_unitary, mn_character
-from schurweyl.errors import DEFAULT_SIZE_CAP, SizeCapError, current_size_cap, size_cap
+from schurweyl.errors import (
+    DEFAULT_SIZE_CAP,
+    ConsistencyError,
+    SizeCapError,
+    current_size_cap,
+    size_cap,
+)
 from schurweyl.oracle import (
     DenseOperator,
     check_standard_tableau,
@@ -287,6 +293,30 @@ def test_verify_general_dual_report():
     assert rep["pass"]
     with pytest.raises(ValueError):
         verify_general_dual(first_standard_tableau((2, 1)), 2, 2)
+
+
+def test_verify_general_dual_represents_only_the_traced_side():
+    t = first_standard_tableau((2, 1))
+    with size_cap(64):
+        with pytest.raises(SizeCapError):
+            young_projector(t, 12)  # the dense path would need side 12^3 = 1728
+        assert verify_general_dual(t, 2, 6)["pass"]  # side 2^3 = 8
+        with pytest.raises(SizeCapError):
+            verify_general_dual(first_standard_tableau((3, 2, 1)), 3, 6)  # side 3^6
+
+
+def test_remainder_certificate_fails_above_beta():
+    """Negative control: raising beta by 1 % breaks the exact certificate on
+    states where beta itself passes."""
+    for t, p, q in ((((1,), (2,), (3,)), 2, 5), (((1, 2, 3),), 3, 5)):
+        rep = verify_general_dual(t, p, q)
+        traced = oracle._traced_tableau_state(t, p, q)
+        shift = Fraction(rep["beta"]) / p**3
+        assert rep["remainder_psd"] and oracle._psd_above(traced, shift)
+        assert not oracle._psd_above(traced, shift * Fraction(101, 100))
+    off_weight = DenseOperator(_obj([[1, 1], [1, 1]]), Fraction(1), 1, 2)
+    with pytest.raises(ConsistencyError, match="block diagonal by weight"):
+        oracle._psd_above(off_weight, Fraction(0))
 
 
 def _digits(x, base, n):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -11,6 +11,7 @@ from schurweyl.coefficients import dim_skew
 from schurweyl.partitions import normalized, partitions_of, rows
 from schurweyl.symfunc import (
     _det,
+    _is_psd,
     falling_factorial,
     schur_eval,
     schur_eval_tableau,
@@ -52,6 +53,24 @@ def test_integer_determinant_is_the_leibniz_sum():
                 assert det == 0
     assert _det([]) == 1
     assert _det([[0, 1], [1, 0]]) == -1
+
+
+def test_integer_psd_test_is_the_principal_minor_rule():
+    """A symmetric matrix is PSD iff every principal minor is >= 0."""
+    rng = random.Random(11)
+    for size in range(5):
+        for trial in range(60):
+            b = [[rng.randint(-3, 3) for _ in range(trial % (size + 1))] for _ in range(size)]
+            m = [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]  # Gram: PSD, rank <= cols
+            if size and trial % 3 == 1:
+                i, j = rng.randrange(size), rng.randrange(size)
+                m[i][j] -= 1  # a symmetric perturbation, usually breaking positivity
+                m[j][i] -= i != j
+            minors = (_leibniz([[m[r][c] for c in idx] for r in idx])
+                      for k in range(1, size + 1) for idx in combinations(range(size), k))
+            assert _is_psd(m) == all(x >= 0 for x in minors), m
+    assert _is_psd([]) and _is_psd([[1, 1], [1, 1]]) and _is_psd([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
+    assert not _is_psd([[0, 1], [1, 0]]) and not _is_psd([[1, 2], [2, 1]])
 
 
 def test_semistandard_count_is_the_unitary_dimension():

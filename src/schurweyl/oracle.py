@@ -567,6 +567,7 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
         raise ValueError(f"the bound needs q >= n, got q={q} < n={n}")
     traced = _traced_tableau_state(t, p, q)
     mixed = Fraction(1, p**n)  # the eigenvalue of the fully mixed state
+    # trace_norm(rho' - I/p^n) without building I: shift the eigenvalues of rho'
     delta = float(np.abs(np.linalg.eigvalsh(traced.to_float()) - float(mixed)).sum())
     bound = definetti_bound_dual(n, q)
     beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, dim_unitary(shape, p * q))

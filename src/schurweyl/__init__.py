@@ -28,8 +28,10 @@ from .partitions import (
     class_size,
     conjugate,
     contains,
+    first_standard_tableau,
     partitions_of,
     skew_standard_count,
+    standard_tableaux,
 )
 from .symfunc import falling_factorial, schur_eval, shifted_schur_eval
 from .werner import (
@@ -57,10 +59,9 @@ __version__ = "0.1.0"
 # the dense oracle needs numpy, so it is imported on first use of one of
 # its names rather than with the package (PEP 562)
 _ORACLE_NAMES = frozenset({
-    "DenseOperator", "first_standard_tableau", "identity_operator", "partial_trace_inner",
-    "partial_trace_subsystems", "permutation_operator", "schur_weyl_projector",
-    "schur_weyl_weights", "standard_tableaux", "symmetric_average", "trace_norm",
-    "verify_general_dual", "werner_combination", "young_projector",
+    "DenseOperator", "identity_operator", "partial_trace_inner", "partial_trace_subsystems",
+    "permutation_operator", "schur_weyl_projector", "schur_weyl_weights", "symmetric_average",
+    "trace_norm", "verify_general_dual", "werner_combination", "young_projector",
 })
 
 

@@ -11,11 +11,11 @@ so that one can cross-validate the other:
   rows with the class sizes; validated against its permutation symmetries,
   a literal per-class sum of mn_character values in the tests, and the
   dense tensor oracle elsewhere.
-* f^{lambda/mu}: Aitken's determinant and the brute-force chain count
-  partitions.skew_standard_count.  No production path consumes dim_skew:
-  the subsystem trace goes through shifted Schur values, and dim_skew is
-  kept as the independent oracle that reaches diagrams of thousands of
-  boxes, where the chain count and the LR sum cannot.
+* f^{lambda/mu}: Aitken's determinant, cross-checked by the brute-force
+  standard-tableau count partitions.skew_standard_count.  No production
+  path consumes dim_skew.  The subsystem trace's shifted Schur values
+  eliminate the same integer matrix, so comparing the two checks only the
+  normaliser; dim_skew's docstring says what pins the determinant.
 """
 
 from __future__ import annotations
@@ -191,10 +191,13 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     A diagram with more rows than columns is conjugated first, which
     leaves the count unchanged and keeps the matrix side at most
     sqrt(|lam|).  Exact for diagrams with thousands of boxes; 0 unless
-    inner fits inside outer.  Kept as the deliberately independent oracle
-    for werner.trace_out_sym, which takes the same counts from shifted
-    Schur values (the tests and perfbench compare the two);
-    partitions.skew_standard_count is in turn its brute-force oracle.
+    inner fits inside outer.  For l <= lam_1, shifted_schur_eval(mu, lam, l)
+    (werner.trace_out_sym) hands this very matrix to _det and differs only
+    in the normaliser, prod_{i<j} (a_i - a_j) for N!/prod a_i!, so comparing
+    the two checks the normalisers only.  The determinant is pinned by the
+    standard-tableau count partitions.skew_standard_count on small diagrams
+    and, at thousands of boxes, by the hook-length, restriction-rule and
+    box-removal tests.
     """
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):

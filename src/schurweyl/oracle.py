@@ -54,7 +54,16 @@ import numpy as np
 
 from .characters import character_row, dim_sym, dim_unitary
 from .errors import ConsistencyError, SizeCapError, current_size_cap
-from .partitions import Partition, as_partition, partitions_of
+from .partitions import (
+    Partition,
+    Tableau,
+    as_partition,
+    check_standard_tableau,
+    first_standard_tableau,
+    partitions_of,
+    standard_tableaux,
+    tableau_shape,
+)
 from .symfunc import _is_psd
 from .werner import WernerWeights, definetti_bound_dual
 
@@ -233,12 +242,13 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     return DenseOperator(acc.reshape(dim, dim), Fraction(1, denominator), n, d)
 
 
-def _class_sum(values: dict[Partition, int], n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Items of the central element sum_pi values[cycle type of pi] pi."""
-    for pi in permutations(range(n)):
-        c = values[cycle_type(pi)]
-        if c:
-            yield pi, c
+def _class_sum(coeffs: list[Fraction], d: int, n: int) -> DenseOperator:
+    """The central element sum_pi coeffs[class of pi] pi on (C^d)^(x n), with
+    one rational per class in partitions_of(n) order, over their lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    values = {alpha: int(c * den) for alpha, c in zip(partitions_of(n), coeffs)}
+    terms = ((pi, values[cycle_type(pi)]) for pi in permutations(range(n)))
+    return _represent(((pi, c) for pi, c in terms if c), d, n, den)
 
 
 def identity_operator(n: int, d: int) -> DenseOperator:
@@ -262,62 +272,8 @@ def schur_weyl_projector(lam: Partition, d: int) -> DenseOperator:
     lam = as_partition(lam)
     n = sum(lam)
     _check_cap(d, n)  # before any group-algebra work
-    f, den = dim_sym(lam), factorial(n)
-    g = gcd(f, den)
-    chi = {alpha: f // g * x for alpha, x in zip(partitions_of(n), character_row(lam))}
-    return _represent(_class_sum(chi, n), d, n, den // g)
-
-
-# --- standard tableaux ----------------------------------------------------
-
-Tableau = tuple[tuple[int, ...], ...]
-
-
-def standard_tableaux(shape: Partition) -> Iterator[Tableau]:
-    """All standard fillings of `shape` with 1..n, deterministic order."""
-    shape = as_partition(shape)
-    n = sum(shape)
-    grid = [[0] * r for r in shape]
-
-    def place(k: int) -> Iterator[Tableau]:
-        if k > n:
-            yield tuple(tuple(row) for row in grid)
-            return
-        fill_len = [sum(1 for v in row if v) for row in grid]
-        for r in range(len(shape)):
-            c = fill_len[r]
-            if c >= shape[r]:
-                continue
-            if r > 0 and fill_len[r - 1] <= c:
-                continue
-            grid[r][c] = k
-            yield from place(k + 1)
-            grid[r][c] = 0
-
-    yield from place(1)
-
-
-def first_standard_tableau(shape: Partition) -> Tableau:
-    """The row-reading filling: 1..n left to right, top to bottom."""
-    return next(standard_tableaux(shape))
-
-
-def tableau_shape(t: Tableau) -> Partition:
-    return as_partition(len(row) for row in t)
-
-
-def check_standard_tableau(t: Tableau) -> None:
-    shape = tableau_shape(t)
-    n = sum(shape)
-    seen = sorted(v for row in t for v in row)
-    if seen != list(range(1, n + 1)):
-        raise ValueError("filling must use 1..n exactly once")
-    for r, row in enumerate(t):
-        for c, v in enumerate(row):
-            if c + 1 < len(row) and row[c + 1] <= v:
-                raise ValueError("rows must increase to the right")
-            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= v:
-                raise ValueError("columns must increase downwards")
+    unit = Fraction(dim_sym(lam), factorial(n))
+    return _class_sum([unit * x for x in character_row(lam)], d, n)
 
 
 def _contents(t: Tableau) -> dict[int, int]:
@@ -484,16 +440,13 @@ def werner_combination(w: WernerWeights) -> DenseOperator:
     """
     n, d = w.n, w.d
     _check_cap(d, n)  # before any group-algebra work
-    classes = partitions_of(n)
-    coeff = [Fraction(0)] * len(classes)
+    coeff = [Fraction(0)] * len(partitions_of(n))
     for mu, a in w.weights.items():
         if a == 0:
             continue
         unit = Fraction(a) / (dim_unitary(mu, d) * factorial(n))
         coeff = [c + unit * x for c, x in zip(coeff, character_row(mu))]
-    den = lcm(*(c.denominator for c in coeff))
-    values = {alpha: int(c * den) for alpha, c in zip(classes, coeff)}
-    return _represent(_class_sum(values, n), d, n, den)
+    return _class_sum(coeff, d, n)
 
 
 def _trace_inner_element(elem: _Element, q: int) -> _Element:

@@ -1,4 +1,5 @@
-"""Integer partitions viewed as Young diagrams, cycle types and highest weights.
+"""Integer partitions viewed as Young diagrams, cycle types and highest weights,
+and the standard fillings of (skew) Young diagrams.
 
 A partition is stored as a trimmed tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0.  Trimmed tuples are
@@ -8,6 +9,7 @@ Comparisons that need equal lengths zero-pad on the fly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -178,39 +180,73 @@ def class_sizes(n: int) -> tuple[int, ...]:
     return tuple(map(class_size, partitions_of(n)))
 
 
-def skew_standard_count(outer: Partition, inner: Partition) -> int:
-    """Number of standard fillings of the skew diagram outer/inner.
+# --- standard tableaux ----------------------------------------------------
 
-    Counted by depth-first enumeration of the box-by-box growth chains from
-    inner to outer.  Deliberately brute force: this is the independent
-    oracle the algebraic identities are checked against, so it stays dumb.
+Tableau = tuple[tuple[int, ...], ...]
+
+
+def standard_tableaux(outer: Partition, inner: Partition = ()) -> Iterator[Tableau]:
+    """All standard fillings of the skew diagram outer/inner, one by one.
+
+    A filling has the rows of outer: the cells of inner read 0 and the other
+    N = |outer| - |inner| cells hold 1..N once each, increasing along rows
+    and down columns.  Entry k goes into each row that can take it, top row
+    first, so a straight shape starts with its row-reading filling.
+    ValueError unless inner fits inside outer.
     """
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
         raise ValueError(f"{inner} is not contained in {outer}")
+    n = sum(outer) - sum(inner)
+    grid = [[0] * r for r in outer]
+    filled = list(inner) + [0] * (len(outer) - len(inner))  # row lengths taken so far
 
-    target = list(outer)
+    def place(k: int) -> Iterator[Tableau]:
+        if k > n:
+            yield tuple(map(tuple, grid))
+            return
+        for r, c in enumerate(filled):
+            if c < outer[r] and (r == 0 or filled[r - 1] > c):
+                grid[r][c], filled[r] = k, c + 1
+                yield from place(k + 1)
+                grid[r][c], filled[r] = 0, c
 
-    def grow(shape: list[int]) -> int:
-        if shape == target:
-            return 1
-        total = 0
-        for i in range(len(target)):
-            cur = shape[i] if i < len(shape) else 0
-            if cur >= target[i]:
-                continue
-            above = shape[i - 1] if i > 0 else None
-            if i > 0 and above is not None and cur + 1 > above:
-                continue  # adding here would break weak decrease
-            grown = list(shape)
-            while len(grown) <= i:
-                grown.append(0)
-            grown[i] = cur + 1
-            total += grow(grown)
-        return total
+    return place(1)
 
-    start = list(inner) + [0] * (len(outer) - len(inner))
-    return grow(start)
+
+def first_standard_tableau(shape: Partition) -> Tableau:
+    """The row-reading filling: 1..n left to right, top to bottom."""
+    return next(standard_tableaux(shape))
+
+
+def tableau_shape(t: Tableau) -> Partition:
+    return as_partition(len(row) for row in t)
+
+
+def check_standard_tableau(t: Tableau) -> None:
+    """ValueError unless t is a standard filling of a straight shape."""
+    shape = tableau_shape(t)
+    n = sum(shape)
+    seen = sorted(v for row in t for v in row)
+    if seen != list(range(1, n + 1)):
+        raise ValueError("filling must use 1..n exactly once")
+    for r, row in enumerate(t):
+        for c, v in enumerate(row):
+            if c + 1 < len(row) and row[c + 1] <= v:
+                raise ValueError("rows must increase to the right")
+            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= v:
+                raise ValueError("columns must increase downwards")
+
+
+def skew_standard_count(outer: Partition, inner: Partition) -> int:
+    """Number of standard fillings of the skew diagram outer/inner.
+
+    Counts the output of standard_tableaux one filling at a time.
+    Deliberately brute force: this is the independent oracle the algebraic
+    identities are checked against, so it stays dumb.  ValueError unless
+    inner fits inside outer.
+    """
+    return sum(1 for _ in standard_tableaux(outer, inner))
 
 
 def hooks(lam: Partition) -> tuple[tuple[int, ...], ...]:

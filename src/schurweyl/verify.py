@@ -134,10 +134,11 @@ def check_character_orthogonality(*, seed: int) -> Cases:
 
 @_check(FORMULAS)
 def check_dimension_identities(*, seed: int) -> Cases:
-    for n in range(1, 7):
+    for n in range(1, 9):
         squares = sum(dim_sym(lam) ** 2 for lam in partitions_of(n))
         yield ("sum f^2 = n!", n), squares == factorial(n)
-        for d in range(1, 6):
+    for n in range(1, 8):
+        for d in range(1, 7):
             total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
             yield ("sum e f = d^n", n, d), total == d**n
             for lam in partitions_of(n):

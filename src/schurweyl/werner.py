@@ -223,9 +223,10 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
     no integer of the size of n!.  coefficients.dim_skew (Aitken's
-    determinant) is the independent cross-check in the tests, and the
-    check inner-sum-subsystem ties the shifted form to the literal
-    coefficient sum.
+    determinant) eliminates the same integer matrix when d is the row count
+    of lam and d <= lam_1, so the large-size test against it checks the
+    normaliser only.  The check inner-sum-subsystem ties the shifted form
+    to the literal coefficient sum and to standard-tableau counts.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -317,7 +318,10 @@ def recombine_cycle_sum(coeffs: dict[Partition, Fraction], p: int) -> WernerWeig
     The independent oracle of dual_trace, through the check
     cycle-sum-recombination: it sums cycle operators, not row products.
     """
-    n = sum(next(iter(coeffs)))
+    sizes = {sum(alpha) for alpha in coeffs}
+    if len(sizes) != 1:
+        raise ValueError(f"cycle types must share one size n, got sizes {sorted(sizes)}")
+    (n,) = sizes
     acc = {mu: Fraction(0) for mu in partitions_of(n, p)}
     for alpha, c in coeffs.items():
         if c == 0:

@@ -70,6 +70,19 @@ else:
     assert run.returncode == 0, run.stderr
 
 
+def test_tableau_enumeration_does_not_import_numpy():
+    script = """
+import sys
+import schurweyl
+assert schurweyl.first_standard_tableau((2, 1)) == ((1, 2), (3,))
+assert sum(1 for _ in schurweyl.standard_tableaux((3, 2))) == 5
+assert schurweyl.skew_standard_count((3, 2, 1), (1,)) == 16
+assert "numpy" not in sys.modules and "schurweyl.oracle" not in sys.modules
+"""
+    run = _python("-c", script)
+    assert run.returncode == 0, run.stderr
+
+
 def test_refused_verify_argv_exit_2_without_a_traceback():
     for argv in (["verify", "bogus"], ["--size-cap", "60", "verify", "bounds"]):
         run = _python("-m", "schurweyl.cli", *argv)

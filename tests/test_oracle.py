@@ -208,25 +208,19 @@ def test_young_projector_row_and_column_tableaux():
 
 
 def test_partial_trace_subsystems_product_rule():
+    # the rule itself is the check partial-trace-rules; this keeps the refusal
     a = _obj([[2, 1], [1, 3]])
     b = _obj([[1, 1], [1, 5]])
     ab = DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object), Fraction(1, 7), 2, 2)
-    red = partial_trace_subsystems(ab, 1)
-    want = DenseOperator(a * 6, Fraction(1, 7), 1, 2)
-    assert red.same_as(want)
-    assert red.trace() == ab.trace()
-    assert partial_trace_subsystems(ab, 2).same_as(ab)
     with pytest.raises(ValueError):
         partial_trace_subsystems(ab, 3)
 
 
 def test_partial_trace_inner_product_rule():
+    # the rule itself is the check partial-trace-rules; this keeps the refusals
     a = _obj([[2, 1], [1, 3]])
     b = _obj([[1, 1], [1, 5]])
     ab = DenseOperator(np.array(np.kron(a, b).tolist(), dtype=object), Fraction(1), 1, 4)
-    red = partial_trace_inner(ab, 2, 2)
-    assert red.same_as(DenseOperator(a * 6, Fraction(1), 1, 2))
-    assert red.trace() == ab.trace()
     with pytest.raises(ValueError):
         partial_trace_inner(ab, 3, 2)
     for p, q in ((-2, -2), (0, 4), (4, 0)):

@@ -23,6 +23,7 @@ from schurweyl.partitions import (
     parse_partition,
     partitions_of,
     skew_standard_count,
+    standard_tableaux,
 )
 from schurweyl.symfunc import schur_eval, shifted_schur_eval
 
@@ -125,6 +126,23 @@ def test_skew_count_of_full_shape_is_the_irrep_dimension():
     for n in range(1, 8):
         for lam in partitions_of(n):
             assert skew_standard_count(lam, ()) == dim_sym(lam)
+
+
+def test_skew_fillings_are_standard():
+    # inner cells read 0; the others hold 1..N once each, increasing along
+    # rows and down columns
+    for outer, inner in (((2, 1), ()), ((3, 2, 1), (1,)), ((4, 3, 1), (2, 1)), ((3, 3), (3,))):
+        fillings = list(standard_tableaux(outer, inner))
+        assert len(set(fillings)) == len(fillings) == skew_standard_count(outer, inner)
+        n = sum(outer) - sum(inner)
+        for t in fillings:
+            assert tuple(map(len, t)) == outer
+            cells = {(r, c): v for r, row in enumerate(t) for c, v in enumerate(row)}
+            assert all(cells[r, c] == 0 for r, width in enumerate(inner) for c in range(width))
+            assert sorted(v for v in cells.values() if v) == list(range(1, n + 1))
+            for (r, c), v in cells.items():
+                if v:
+                    assert cells.get((r, c - 1), 0) < v and cells.get((r - 1, c), 0) < v
 
 
 def test_as_partition_validation():

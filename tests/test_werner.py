@@ -18,6 +18,7 @@ from schurweyl.werner import (
     dual_twirl_cycle,
     fully_mixed,
     horn_witness,
+    recombine_cycle_sum,
     root_range,
     trace_distance,
     trace_out_sym,
@@ -89,7 +90,9 @@ def test_trace_out_sym_matches_the_coefficient_sum():
 
 
 def test_trace_out_sym_matches_the_skew_dimension_at_large_sizes():
-    # far beyond the coefficient sum: Aitken's determinant is the oracle here
+    # far beyond the coefficient sum.  With d the row count, dim_skew and
+    # shifted_schur_eval eliminate the same matrix, so this checks the
+    # normalisers; test_coefficients.py pins the determinant at these sizes
     for lam, k, d in (((1200, 900, 600, 300), 6, 4), ((242, 158), 3, 2)):
         f = dim_sym(lam)
         w = trace_out_sym(lam, k, d)
@@ -122,6 +125,13 @@ def test_dual_trace_equals_the_character_polynomial_formula():
 def test_dual_trace_rejects_wide_diagrams():
     with pytest.raises(ValueError):
         dual_trace((1, 1, 1, 1, 1), 2, 2)
+
+
+def test_recombine_cycle_sum_rejects_malformed_coefficients():
+    with pytest.raises(ValueError, match=r"one size n, got sizes \[\]"):
+        recombine_cycle_sum({}, 2)
+    with pytest.raises(ValueError, match=r"one size n, got sizes \[1, 2\]"):
+        recombine_cycle_sum({(2,): 1, (1,): 1}, 2)
 
 
 def test_trace_maps_reject_nonpositive_dimensions():

@@ -59,9 +59,9 @@ from .partitions import (
     Tableau,
     as_partition,
     check_standard_tableau,
-    first_standard_tableau,
+    first_standard_tableau,  # re-exported: verify and callers read it from the oracle
     partitions_of,
-    standard_tableaux,
+    standard_tableaux,  # re-exported, as first_standard_tableau
     tableau_shape,
 )
 from .symfunc import _is_psd

@@ -19,10 +19,17 @@ idempotent.  On top of it sits the row memo: character_row(lam) is
 chi^lam on every class in partitions_of(|lam|) order, read once from the
 dict, so a full class sum is a zip of rows with partitions.class_sizes
 instead of one mn_character call per class.
+
+Memos built from chi values in modules that import this one (the
+Kronecker memo of coefficients) register their clear function in
+_derived_clears at import, so clear_character_cache reaches them without
+this module importing its consumers.  The e^d memo is built from hook
+lengths alone, so no clear touches it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from math import factorial
 
@@ -40,11 +47,16 @@ from .partitions import (
 # chi values keyed by (beta-set mask, alpha suffix); exposed so tests can poison it
 _char_cache: dict[tuple, int] = {}
 
+# the clear functions of memos built from chi values elsewhere
+_derived_clears: list[Callable[[], None]] = []
+
 
 def clear_character_cache() -> None:
-    """Empty the character memo and the row memo built from it."""
+    """Empty the character memo, the row memo and every memo derived from them."""
     _char_cache.clear()
     _character_row.cache_clear()
+    for clear in _derived_clears:
+        clear()
 
 
 def mn_character(lam: Partition, alpha: Partition) -> int:
@@ -145,11 +157,19 @@ def dim_unitary(lam: Partition, d: int) -> int:
     """e^d_lambda, the dimension of the unitary-group irrep with highest weight lambda.
 
     Hook-content product: prod over boxes (i,j) of (d + j - i) / hook(i,j).
-    Zero when the diagram has more than d rows.
+    Zero when the diagram has more than d rows.  Validated here, then
+    memoised on (canonical lambda, d): the dual trace's checks ask for the
+    same few hundred values thousands of times.
     """
     lam = as_partition(lam)
     if d < 1:
         raise ValueError("d must be positive")
+    return _dim_unitary(lam, d)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a float d must not answer for an int d
+def _dim_unitary(lam: Partition, d: int) -> int:
+    """dim_unitary on a canonical partition and d >= 1, unchecked."""
     if rows(lam) > d:
         return 0
     num = 1

@@ -197,21 +197,34 @@ def standard_tableaux(outer: Partition, inner: Partition = ()) -> Iterator[Table
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
         raise ValueError(f"{inner} is not contained in {outer}")
-    n = sum(outer) - sum(inner)
+    n, height = sum(outer) - sum(inner), len(outer)
     grid = [[0] * r for r in outer]
-    filled = list(inner) + [0] * (len(outer) - len(inner))  # row lengths taken so far
+    filled = list(inner) + [0] * (height - len(inner))  # row lengths taken so far
 
-    def place(k: int) -> Iterator[Tableau]:
-        if k > n:
-            yield tuple(map(tuple, grid))
-            return
-        for r, c in enumerate(filled):
-            if c < outer[r] and (r == 0 or filled[r - 1] > c):
-                grid[r][c], filled[r] = k, c + 1
-                yield from place(k + 1)
-                grid[r][c], filled[r] = 0, c
+    def fillings() -> Iterator[Tableau]:
+        # depth-first on an explicit stack, so any number of boxes fits
+        placed: list[int] = []  # the row of each entry 1..len(placed)
+        r = 0  # the first row to try for the next entry
+        while True:
+            if len(placed) == n:
+                yield tuple(map(tuple, grid))
+                r = height
+            while r < height and (filled[r] == outer[r] or r and filled[r - 1] == filled[r]):
+                r += 1  # row r is full, or the cell above its next cell is empty
+            if r < height:
+                grid[r][filled[r]] = len(placed) + 1
+                filled[r] += 1
+                placed.append(r)
+                r = 0
+            elif placed:  # no row left for this entry: take back the last one
+                r = placed.pop()
+                filled[r] -= 1
+                grid[r][filled[r]] = 0
+                r += 1
+            else:
+                return
 
-    return place(1)
+    return fillings()
 
 
 def first_standard_tableau(shape: Partition) -> Tableau:

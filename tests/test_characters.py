@@ -11,7 +11,7 @@ from schurweyl.characters import (
     dim_unitary,
     mn_character,
 )
-from schurweyl.coefficients import kronecker
+from schurweyl.coefficients import branching_sum_kron, kronecker
 from schurweyl.partitions import conjugate, partitions_of, rows
 from schurweyl.werner import character_polynomial
 
@@ -157,16 +157,23 @@ def test_clearing_the_cache_drops_polynomials_built_from_it():
 
 
 def test_clearing_the_cache_drops_character_rows():
+    # fill the row and Kronecker memos first, so the clear has to empty both
     assert character_row((2, 1)) == (-1, 0, 2)
+    assert kronecker((2, 1), (2, 1), (2, 1)) == 1
+    # g with (3) is 1 and g with (2,1) is 1: 4 + 2
+    assert branching_sum_kron((2, 1), (2, 1), 2) == 6
     clear_character_cache()
     characters._char_cache[characters._beta_set((2, 1)), (1, 1, 1)] = 8
     try:
         assert character_row((2, 1)) == (-1, 0, 8)
         # (2 * (-1)^3 + 8^3) / 3! = 85; the true row gives 1
         assert kronecker((2, 1), (2, 1), (2, 1)) == 85
+        # g with (3) becomes (2 + 8^2) / 3! = 11: 11 * 4 + 85 * 2
+        assert branching_sum_kron((2, 1), (2, 1), 2) == 214
         assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 64]
     finally:
         clear_character_cache()
     assert character_row((2, 1)) == (-1, 0, 2)
     assert kronecker((2, 1), (2, 1), (2, 1)) == 1
+    assert branching_sum_kron((2, 1), (2, 1), 2) == 6
     assert character_polynomial((2, 1), (2, 1)).coeffs == [0, 2, 0, 4]

@@ -1,10 +1,18 @@
+import inspect
 import random
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurweyl.characters import character_row, dim_sym, mn_character
+from schurweyl import coefficients
+from schurweyl.characters import (
+    character_row,
+    clear_character_cache,
+    dim_sym,
+    dim_unitary,
+    mn_character,
+)
 from schurweyl.coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -124,6 +132,17 @@ def test_kronecker_equals_the_literal_class_sum():
         for _ in range(12):
             triple = rng.choices(parts, k=3)
             assert kronecker(*triple) == _class_sum_kronecker(*triple)
+
+
+def test_kronecker_memo_keeps_each_ordering_apart():
+    # kronecker-symmetry compares orderings of a triple, so each ordering
+    # must be a product of its own, not a read of a shared entry
+    clear_character_cache()
+    a, b, c = (2, 1), (3,), (2, 1)
+    assert kronecker(a, b, c) == kronecker(b, a, c) == 1
+    assert coefficients._kronecker.cache_info().currsize == 2
+    # plain functions, so a tracer that wraps functions still sees each call
+    assert inspect.isfunction(kronecker) and inspect.isfunction(dim_unitary)
 
 
 def test_character_rows_follow_the_class_order():

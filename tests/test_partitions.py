@@ -17,6 +17,7 @@ from schurweyl.partitions import (
     class_sizes,
     conjugate,
     contains,
+    first_standard_tableau,
     format_partition,
     hooks,
     normalized,
@@ -118,6 +119,12 @@ def test_skew_standard_count_examples():
         assert skew_standard_count((n,), ()) == 1
     with pytest.raises(ValueError):
         skew_standard_count((2,), (1, 1))
+
+
+def test_long_rows_do_not_exhaust_the_recursion_limit():
+    # the enumerator keeps its own stack: one box is not one Python frame
+    assert skew_standard_count((1200,), ()) == 1
+    assert first_standard_tableau((1200,)) == (tuple(range(1, 1201)),)
 
 
 def test_skew_count_of_full_shape_is_the_irrep_dimension():

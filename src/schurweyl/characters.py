@@ -20,18 +20,16 @@ chi^lam on every class in partitions_of(|lam|) order, read once from the
 dict, so a full class sum is a zip of rows with partitions.class_sizes
 instead of one mn_character call per class.
 
-Memos built from chi values in modules that import this one (the
-Kronecker memo of coefficients) register their clear function in
-_derived_clears at import, so clear_character_cache reaches them without
-this module importing its consumers.  The e^d memo is built from hook
-lengths alone, so no clear touches it.
+The Kronecker memo is built from the rows, so it lives here too and
+clear_character_cache empties it with them; coefficients.kronecker reads
+it.  The e^d memo is built from hook lengths alone, so no clear touches it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache
 from math import factorial
+from operator import index, mul
 
 from .errors import ConsistencyError
 from .partitions import (
@@ -47,16 +45,12 @@ from .partitions import (
 # chi values keyed by (beta-set mask, alpha suffix); exposed so tests can poison it
 _char_cache: dict[tuple, int] = {}
 
-# the clear functions of memos built from chi values elsewhere
-_derived_clears: list[Callable[[], None]] = []
-
 
 def clear_character_cache() -> None:
-    """Empty the character memo, the row memo and every memo derived from them."""
+    """Empty the character memo, the row memo and the Kronecker memo."""
     _char_cache.clear()
     _character_row.cache_clear()
-    for clear in _derived_clears:
-        clear()
+    _kronecker.cache_clear()
 
 
 def mn_character(lam: Partition, alpha: Partition) -> int:
@@ -90,6 +84,24 @@ def character_row(lam: Partition) -> tuple[int, ...]:
 def _character_row(lam: Partition) -> tuple[int, ...]:
     mask = _beta_set(lam)
     return tuple(_mn(mask, alpha) for alpha in partitions_of(sum(lam)))
+
+
+@lru_cache(maxsize=None)
+def _kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
+    """coefficients.kronecker on canonical partitions of n, unchecked, memoised.
+
+    The key is the ordered triple: sorting it would hand the six orderings
+    one entry, and the check kronecker-symmetry compares six products
+    computed each on its own.
+    """
+    total = sum(map(mul, map(mul, class_sizes(n), _character_row(lam)),
+                    map(mul, _character_row(mu), _character_row(nu))))
+    q, r = divmod(total, factorial(n))
+    if r:
+        raise ConsistencyError("character triple sum is not divisible by n!")
+    if q < 0:
+        raise ConsistencyError("Kronecker coefficient came out negative")
+    return q
 
 
 def _beta_set(lam: Partition) -> int:
@@ -159,15 +171,21 @@ def dim_unitary(lam: Partition, d: int) -> int:
     Hook-content product: prod over boxes (i,j) of (d + j - i) / hook(i,j).
     Zero when the diagram has more than d rows.  Validated here, then
     memoised on (canonical lambda, d): the dual trace's checks ask for the
-    same few hundred values thousands of times.
+    same few hundred values thousands of times.  d must be a positive
+    integer (numpy integers are accepted, bools are not); anything else
+    raises ValueError.
     """
     lam = as_partition(lam)
+    if type(d) is not int:  # plain ints, the hot case, skip the checks
+        if isinstance(d, bool) or not hasattr(d, "__index__"):
+            raise ValueError(f"d must be an integer, got {d!r}")
+        d = index(d)
     if d < 1:
         raise ValueError("d must be positive")
     return _dim_unitary(lam, d)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a float d must not answer for an int d
+@lru_cache(maxsize=None)
 def _dim_unitary(lam: Partition, d: int) -> int:
     """dim_unitary on a canonical partition and d >= 1, unchecked."""
     if rows(lam) > d:

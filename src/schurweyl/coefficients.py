@@ -8,7 +8,8 @@ so that one can cross-validate the other:
   and an induced-character inner product over S_k x S_{n-k} (secondary).
 * g_{lambda mu nu}: a row product, sum_alpha h_alpha chi^lambda(alpha)
   chi^mu(alpha) chi^nu(alpha) / n!, zipping the three memoised character
-  rows with the class sizes, and memoised on the ordered triple;
+  rows with the class sizes, and memoised on the ordered triple by
+  characters._kronecker, which clear_character_cache empties;
   validated against its permutation symmetries, a literal per-class sum
   of mn_character values in the tests, and the dense tensor oracle
   elsewhere.
@@ -21,12 +22,11 @@ so that one can cross-validate the other:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from math import factorial, prod
-from operator import mul, sub
+from operator import sub
 
-from .characters import _character_row, _derived_clears, character_row, dim_sym, dim_unitary
+from .characters import _kronecker, character_row, dim_sym, dim_unitary
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
@@ -128,35 +128,13 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     The arguments are canonicalised first; the sum is a product of the three
     class-ordered character rows with the class sizes, memoised by
-    _kronecker on the ordered triple.
+    characters._kronecker on the ordered triple.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("Kronecker coefficients need equal box counts")
     return _kronecker(lam, mu, nu, n)
-
-
-@lru_cache(maxsize=None)
-def _kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
-    """kronecker on canonical partitions of n, unchecked, memoised.
-
-    The key is the ordered triple: sorting it would hand the six orderings
-    one entry, and the check kronecker-symmetry compares six products
-    computed each on its own.  The value is built from chi values, so
-    clear_character_cache empties this memo too.
-    """
-    total = sum(map(mul, map(mul, class_sizes(n), _character_row(lam)),
-                    map(mul, _character_row(mu), _character_row(nu))))
-    q, r = divmod(total, factorial(n))
-    if r:
-        raise ConsistencyError("character triple sum is not divisible by n!")
-    if q < 0:
-        raise ConsistencyError("Kronecker coefficient came out negative")
-    return q
-
-
-_derived_clears.append(_kronecker.cache_clear)
 
 
 def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:

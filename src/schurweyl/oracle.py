@@ -26,9 +26,10 @@ Measurements build no operators.  Every index a construction or a
 measurement reads comes from the digits of the combined indices
 np.arange(d^n): the permutation index maps enc(pi . x) of `_index_maps`
 (the scatter and the block weights, which are permutation traces summed
-by class), a (kept x traced) reshaping (both partial traces), or the
-S_n-orbit labels of index pairs (the permutation average).  An operator
-carries only (n, d); a bipartite split (p, q) is passed to the inner trace
+by class) or the S_n-orbit labels of index pairs (the permutation
+average).  Both partial traces read no index at all: they sum diagonals
+of reshaped views of the matrix itself.  An operator carries only
+(n, d); a bipartite split (p, q) is passed to the inner trace
 explicitly.  Every construction refuses a side d^n above the run's size
 cap (`errors.size_cap`) before any work.
 
@@ -338,28 +339,13 @@ def young_projector(t: Tableau, d: int) -> DenseOperator:
 # --- traces and averages ---------------------------------------------------
 
 
-def _trace_blocks(m: DenseOperator, table: np.ndarray, n: int, base: int) -> DenseOperator:
-    """Sum over the traced index t of the diagonal blocks m[table[:, t], table[:, t]].
-
-    table[k, t] is the combined index of kept index k and traced index t.
-    Blocks are gathered in batches of at most _SCATTER_CELLS cells; the
-    result lives on n factors of dimension base.
-    """
-    kept, traced = table.shape
-    out = np.zeros((kept, kept), dtype=object)
-    step = max(1, _SCATTER_CELLS // kept**2)
-    for start in range(0, traced, step):
-        batch = table[:, start:start + step].T
-        out += m.mat[batch[:, :, None], batch[:, None, :]].sum(axis=0)
-    return DenseOperator(out, m.scale, n, base)
-
-
 def partial_trace_subsystems(m: DenseOperator, keep: int) -> DenseOperator:
     """Trace out the last n-keep factors; the total trace is preserved."""
     if not 0 < keep <= m.n:
         raise ValueError(f"keep must be in 1..{m.n}")
-    table = np.arange(m.dim).reshape(m.base**keep, m.base ** (m.n - keep))
-    return _trace_blocks(m, table, keep, m.base)
+    kept, traced = m.base**keep, m.base ** (m.n - keep)
+    out = m.mat.reshape(kept, traced, kept, traced).trace(axis1=1, axis2=3)
+    return DenseOperator(out, m.scale, keep, m.base)
 
 
 def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
@@ -367,17 +353,21 @@ def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
 
     The independent dense oracle of `_trace_inner_element`, which traces in
     the group algebra before any representation.  Each factor index is
-    i*q + j with i its C^p digit, so the index table has the axes
-    (i_1, j_1, ..., i_n, j_n), reordered to put every i first.
+    i*q + j with i its C^p digit, so the matrix is viewed with the axes
+    (i_1, j_1, ..., i_n, j_n) on each side.  After k diagonals j_(k+1) sits
+    at axis k+1 and its column twin at axis 2n+1; the n diagonal axes are
+    appended last and summed.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     if p * q != m.base:
         raise ValueError(f"factor dimension {m.base} is not {p}*{q}")
     n = m.n
-    axes = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    table = np.arange(m.dim).reshape((p, q) * n).transpose(axes).reshape(p**n, q**n)
-    return _trace_blocks(m, table, n, p)
+    view = m.mat.reshape((p, q) * 2 * n)
+    for k in range(n):
+        view = view.diagonal(axis1=k + 1, axis2=2 * n + 1)
+    out = view.sum(axis=tuple(range(2 * n, 3 * n))).reshape(p**n, p**n)
+    return DenseOperator(out, m.scale, n, p)
 
 
 def symmetric_average(m: DenseOperator) -> DenseOperator:

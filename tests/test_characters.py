@@ -1,6 +1,7 @@
 from functools import lru_cache
 from math import comb
 
+import numpy as np
 import pytest
 
 from schurweyl import characters
@@ -13,7 +14,7 @@ from schurweyl.characters import (
 )
 from schurweyl.coefficients import branching_sum_kron, kronecker
 from schurweyl.partitions import conjugate, partitions_of, rows
-from schurweyl.werner import character_polynomial
+from schurweyl.werner import character_polynomial, degrees_of_freedom
 
 
 def test_trivial_and_sign_characters():
@@ -128,6 +129,15 @@ def test_dim_unitary_examples():
         assert dim_unitary((n := 3,), d) == comb(d + n - 1, n)
     assert dim_unitary((1, 1, 1), 2) == 0
     assert dim_unitary((), 3) == 1
+    # d is read as an integer: no float or bool answers, a numpy integer
+    # becomes a Python int before any product
+    for d in (2.5, 3.0, True):
+        with pytest.raises(ValueError):
+            dim_unitary((2, 1), d)
+    big = dim_unitary((10, 10, 10), np.int64(50))
+    assert type(big) is int and big == 194998761876932198098858444500
+    with pytest.raises(ValueError):
+        degrees_of_freedom(3, 2.0, "symmetric")
 
 
 def test_character_table_rows():

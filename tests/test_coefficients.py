@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurweyl import coefficients
+from schurweyl import characters
 from schurweyl.characters import (
     character_row,
     clear_character_cache,
@@ -140,7 +140,7 @@ def test_kronecker_memo_keeps_each_ordering_apart():
     clear_character_cache()
     a, b, c = (2, 1), (3,), (2, 1)
     assert kronecker(a, b, c) == kronecker(b, a, c) == 1
-    assert coefficients._kronecker.cache_info().currsize == 2
+    assert characters._kronecker.cache_info().currsize == 2
     # plain functions, so a tracer that wraps functions still sees each call
     assert inspect.isfunction(kronecker) and inspect.isfunction(dim_unitary)
 

@@ -350,27 +350,35 @@ def _projector_weights(m):
     return out
 
 
+def _literal_inner_trace(m, p, q):
+    """partial_trace_inner(m, p, q) as a literal sum over the C^q numerals."""
+    n, d = m.n, m.base
+
+    def enc(i, j):  # i, j: the C^p and C^q numerals of a combined index
+        return _enc([a * q + b for a, b in zip(_digits(i, p, n), _digits(j, q, n))], d)
+
+    want = [[sum(m.mat[enc(a, j), enc(b, j)] for j in range(q**n))
+             for b in range(p**n)] for a in range(p**n)]
+    return DenseOperator(_obj(want), m.scale, n, p)
+
+
 def test_measurements_match_literal_index_sums():
     rng = random.Random(8)
-    spaces = ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+    spaces = ((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
+              (4, 2), (4, 3))
     for m in (_random_operator(rng, n, d, sym) for n, d in spaces for sym in (False, True)):
         n, d, dim = m.n, m.base, m.dim
         for keep in range(1, n + 1):
             tail = d ** (n - keep)
             want = [[sum(m.mat[a * tail + t, b * tail + t] for t in range(tail))
                      for b in range(d**keep)] for a in range(d**keep)]
-            assert partial_trace_subsystems(m, keep).same_as(
-                DenseOperator(_obj(want), m.scale, keep, d)), (n, d, keep)
+            got = partial_trace_subsystems(m, keep)
+            assert got.same_as(DenseOperator(_obj(want), m.scale, keep, d)), (n, d, keep)
+            assert not np.shares_memory(got.mat, m.mat), (n, d, keep)
         for p in (k for k in range(1, d + 1) if d % k == 0):
-            q = d // p
-
-            def enc(i, j):  # i, j: the C^p and C^q numerals of a combined index
-                return _enc([a * q + b for a, b in zip(_digits(i, p, n), _digits(j, q, n))], d)
-
-            want = [[sum(m.mat[enc(a, j), enc(b, j)] for j in range(q**n))
-                     for b in range(p**n)] for a in range(p**n)]
-            assert partial_trace_inner(m, p, q).same_as(
-                DenseOperator(_obj(want), m.scale, n, p)), (n, p, q)
+            got = partial_trace_inner(m, p, d // p)
+            assert got.same_as(_literal_inner_trace(m, p, d // p)), (n, p, d // p)
+            assert not np.shares_memory(got.mat, m.mat), (n, p, d // p)
         acts = [[_enc(_act(pi, _digits(x, d, n)), d) for x in range(dim)]
                 for pi in permutations(range(n))]
         want = [[sum(m.mat[act[a], act[b]] for act in acts) for b in range(dim)]
@@ -383,6 +391,11 @@ def test_measurements_match_literal_index_sums():
                         for pi, act in zip(permutations(range(n)), acts) for x in range(dim))
             literal[mu] = m.scale * Fraction(dim_sym(mu), len(acts)) * total
         assert schur_weyl_weights(m) == literal == _projector_weights(m), (n, d)
+    # four factors with both halves above 1: side 256, 16 x 16 entries of 16 terms
+    m = _random_operator(rng, 4, 4)
+    got = partial_trace_inner(m, 2, 2)
+    assert got.same_as(_literal_inner_trace(m, 2, 2))
+    assert not np.shares_memory(got.mat, m.mat)
 
 
 def test_operator_arithmetic_sanity():

@@ -10,7 +10,6 @@ from .characters import (
     character_row,
     dim_sym,
     dim_unitary,
-    dim_unitary_charsum,
     mn_character,
 )
 from .coefficients import (
@@ -39,7 +38,6 @@ from .werner import (
     RootRange,
     WernerWeights,
     character_polynomial,
-    cycle_sum_expansion,
     definetti_bound_dual,
     definetti_bound_sym,
     degrees_of_freedom,
@@ -47,7 +45,6 @@ from .werner import (
     dual_twirl_cycle,
     fully_mixed,
     horn_witness,
-    recombine_cycle_sum,
     root_range,
     trace_distance,
     trace_out_sym,
@@ -90,14 +87,12 @@ __all__ = [
     "class_size",
     "conjugate",
     "contains",
-    "cycle_sum_expansion",
     "definetti_bound_dual",
     "definetti_bound_sym",
     "degrees_of_freedom",
     "dim_skew",
     "dim_sym",
     "dim_unitary",
-    "dim_unitary_charsum",
     "dual_trace",
     "dual_twirl_cycle",
     "falling_factorial",
@@ -113,7 +108,6 @@ __all__ = [
     "partial_trace_subsystems",
     "partitions_of",
     "permutation_operator",
-    "recombine_cycle_sum",
     "root_range",
     "schur_eval",
     "schur_weyl_projector",

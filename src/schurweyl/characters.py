@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from operator import index, mul
+from operator import mul
 
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
     _hooks,
+    _integer,
     as_cycle_type,
     as_partition,
     class_sizes,
@@ -176,10 +177,8 @@ def dim_unitary(lam: Partition, d: int) -> int:
     raises ValueError.
     """
     lam = as_partition(lam)
-    if type(d) is not int:  # plain ints, the hot case, skip the checks
-        if isinstance(d, bool) or not hasattr(d, "__index__"):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        d = index(d)
+    if type(d) is not int:  # plain ints, the hot case, skip the call
+        d = _integer(d, "d must be an integer")
     if d < 1:
         raise ValueError("d must be positive")
     return _dim_unitary(lam, d)
@@ -201,20 +200,3 @@ def _dim_unitary(lam: Partition, d: int) -> int:
     if r:
         raise ConsistencyError("hook-content product is not an integer")
     return q
-
-
-def dim_unitary_charsum(lam: Partition, d: int) -> int:
-    """e^d_lambda again, via (1/n!) sum_alpha h_alpha d^c(alpha) chi^lambda(alpha).
-
-    Independent of the hook-content product; used as a cross-check.
-    """
-    n = sum(lam)
-    total = sum(
-        h * d ** rows(alpha) * chi
-        for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))
-    )
-    q, r = divmod(total, factorial(n))
-    if r:
-        raise ConsistencyError(f"character sum for e^{d}_{lam} not divisible by n!")
-    return q
-

@@ -158,7 +158,9 @@ def branching_sum_kron(lam: Partition, mu: Partition, q: int) -> int:
     """sum over nu in Par(n, q) of g_{lambda mu nu} e^q_nu.
 
     The independent oracle of werner.character_polynomial, through the
-    check inner-sum-inner-trace: n! times this sum is its value at q.
+    check inner-sum-inner-trace: n! times this sum is its value at q.  It is
+    also the oracle of werner.dual_trace, through the check
+    dual-trace-paths: a_mu = e^p_mu * this sum / e^{pq}_lam.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     n = sum(lam)

@@ -70,7 +70,6 @@ from .werner import WernerWeights, definetti_bound_dual
 
 _EXACT_FLOAT = float(2**53)
 _SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
-_SLACK = 1e-7  # slack on float inequality assertions; asserted gaps are >= 1e-3
 
 
 def _check_cap(d: int, n: int) -> None:
@@ -498,11 +497,13 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
 
     rho is the tableau projector on ((C^p)(x)(C^q))^(x n) over its trace;
     every C^q is traced out in the group algebra, so only the p^n-sided
-    state rho' is represented.  Checks the distance bound
-    2 - 2((q-n+1)/q)^n on the trace norm of rho' - I/p^n (from the float
-    eigenvalues of rho', the one float in the report) and, exactly, that
-    rho' - beta I/p^n is positive semidefinite for
-    beta = f * C(q, n) * p^n / e^{pq}.
+    state rho' is represented.  The verdict is exact: rho' - beta I/p^n is
+    positive semidefinite for beta = f * C(q, n) * p^n / e^{pq}, and
+    beta >= ((q-n+1)/q)^n.  With tr rho' = 1 these give
+    rho' - I/p^n = (1 - beta)(sigma - I/p^n) for a state sigma, so the trace
+    norm of rho' - I/p^n is at most 2(1 - beta), within the bound
+    2 - 2((q-n+1)/q)^n.  delta, that trace norm from the float eigenvalues
+    of rho', is the one float in the report and takes no part in the verdict.
     """
     shape = tableau_shape(t)
     n = sum(shape)
@@ -524,5 +525,5 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
         "bound": float(bound),
         "beta": str(beta),
         "remainder_psd": psd,
-        "pass": delta <= float(bound) + _SLACK and psd,
+        "pass": psd and beta >= Fraction(q - n + 1, q) ** n,
     }

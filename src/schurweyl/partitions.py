@@ -84,12 +84,18 @@ def _canonical(parts) -> bool:
 
 
 def _row(p) -> int:
-    if not isinstance(p, bool):
+    return _integer(p, "partition rows must be integers")
+
+
+def _integer(x, rule: str) -> int:
+    """x read through operator.index, so numpy integers pass; a bool or a
+    non-integer raises ValueError(f"{rule}, got {x!r}")."""
+    if not isinstance(x, bool):
         try:
-            return index(p)
+            return index(x)
         except TypeError:
             pass
-    raise ValueError(f"partition rows must be integers, got {p!r}")
+    raise ValueError(f"{rule}, got {x!r}")
 
 
 def rows(lam: Partition) -> int:
@@ -101,12 +107,18 @@ def partitions_of(n: int, max_rows: int | None = None) -> list[Partition]:
     """All partitions of n with at most max_rows rows, lexicographically decreasing.
 
     max_rows=None means unbounded.  n = 0 yields only the empty partition.
-    Each call returns a fresh list, so callers may mutate it freely.
+    Each call returns a fresh list, so callers may mutate it freely.  n and
+    max_rows must be integers (numpy integers are accepted, bools are not);
+    anything else raises ValueError.
     """
+    if type(n) is not int:  # plain ints, the hot case, skip the call
+        n = _integer(n, "n must be an integer")
     if n < 0:
         raise ValueError("n must be non-negative")
     if max_rows is None:
         max_rows = n
+    elif type(max_rows) is not int:
+        max_rows = _integer(max_rows, "max_rows must be an integer")
     return list(_partitions(n, max_rows))
 
 

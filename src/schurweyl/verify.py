@@ -40,7 +40,7 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from . import oracle
-from .characters import dim_sym, dim_unitary, dim_unitary_charsum, mn_character
+from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .coefficients import (
     branching_sum_kron,
     branching_sum_lr,
@@ -51,6 +51,7 @@ from .coefficients import (
 from .errors import SizeCapError
 from .partitions import (
     class_size,
+    class_sizes,
     conjugate,
     contains,
     normalized,
@@ -61,13 +62,11 @@ from .partitions import (
 from .symfunc import falling_factorial, schur_eval, schur_eval_tableau, shifted_schur_eval
 from .werner import (
     character_polynomial,
-    cycle_sum_expansion,
     definetti_bound_dual,
     definetti_bound_sym,
     dual_trace,
     dual_twirl_cycle,
     fully_mixed,
-    recombine_cycle_sum,
     root_range,
     trace_distance,
     trace_out_sym,
@@ -134,15 +133,20 @@ def check_character_orthogonality(*, seed: int) -> Cases:
 
 @_check(FORMULAS)
 def check_dimension_identities(*, seed: int) -> Cases:
+    """sum f^2 = n!, sum e^d f = d^n, and the hook-content e^d against the
+    character sum n! e^d_lam = sum_alpha h_alpha d^c(alpha) chi^lam(alpha)."""
     for n in range(1, 9):
         squares = sum(dim_sym(lam) ** 2 for lam in partitions_of(n))
         yield ("sum f^2 = n!", n), squares == factorial(n)
     for n in range(1, 8):
+        parts = partitions_of(n)
         for d in range(1, 7):
             total = sum(dim_unitary(lam, d) * dim_sym(lam) for lam in partitions_of(n, d))
             yield ("sum e f = d^n", n, d), total == d**n
-            for lam in partitions_of(n):
-                yield ("e two paths", lam, d), dim_unitary(lam, d) == dim_unitary_charsum(lam, d)
+            for lam in parts:
+                charsum = sum(h * d ** rows(alpha) * chi for alpha, h, chi
+                              in zip(parts, class_sizes(n), character_row(lam)))
+                yield ("e two paths", lam, d), factorial(n) * dim_unitary(lam, d) == charsum
 
 
 @_check(FORMULAS)
@@ -293,13 +297,20 @@ def check_column_dual_cauchy(*, seed: int) -> Cases:
 
 
 @_check(FORMULAS)
-def check_cycle_sum_recombination(*, seed: int) -> Cases:
-    for n in range(1, 5):
-        for p in (2, 3):
-            for q in (2, 3):
+def check_dual_trace_paths(*, seed: int) -> Cases:
+    """The independent oracle of dual_trace's row product, on the ranges of
+    trace-maps-preserve-states: a_mu e^{pq}_lam = e^p_mu sum_nu g_{lam mu nu}
+    e^q_nu, from s_lam[XY] = sum g_{lam mu nu} s_mu[X] s_nu[Y] (Macdonald
+    I.7).  It reads Kronecker coefficients and the hook-content e^q, not
+    q^c(alpha)."""
+    for n in range(1, 6):
+        for p in range(1, 5):
+            for q in range(1, 5):
                 for lam in partitions_of(n, p * q):
-                    coeffs = cycle_sum_expansion(lam, p, q)
-                    yield (lam, p, q), recombine_cycle_sum(coeffs, p) == dual_trace(lam, p, q)
+                    e = dim_unitary(lam, p * q)
+                    want = {mu: Fraction(dim_unitary(mu, p) * branching_sum_kron(lam, mu, q), e)
+                            for mu in partitions_of(n, p)}
+                    yield (lam, p, q), dual_trace(lam, p, q).weights == want
 
 
 @_check(FORMULAS)

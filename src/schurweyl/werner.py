@@ -19,6 +19,7 @@ from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _integer,
     as_partition,
     class_sizes,
     contains,
@@ -240,10 +241,14 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     return _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
 
 
-def _dual_row(lam: Partition, p: int, q: int) -> tuple[int, list[int], int]:
-    """(n, row, n! e^{pq}_lam) for the inner trace of lam, after validating it.
+def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
+    """Weights after tracing out the q-dimensional half of every subsystem.
 
-    row holds h_alpha q^c(alpha) chi^lam(alpha) in partitions_of(n) order.
+    a_mu = e^p_mu * sum_alpha h_alpha q^c(alpha) chi^lam(alpha) chi^mu(alpha)
+    / (n! e^{pq}_lam) over mu in Par(n, p): one row product per mu.  The
+    check dual-trace-paths holds it to the Kronecker sum
+    a_mu = e^p_mu sum_nu g_{lam mu nu} e^q_nu / e^{pq}_lam, which goes
+    through Kronecker coefficients and the hook-content e^q, not q^c(alpha).
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
@@ -253,16 +258,7 @@ def _dual_row(lam: Partition, p: int, q: int) -> tuple[int, list[int], int]:
         raise ValueError(f"{lam} has more than {p * q} rows")
     row = [h * q ** rows(alpha) * chi
            for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))]
-    return n, row, factorial(n) * dim_unitary(lam, p * q)
-
-
-def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
-    """Weights after tracing out the q-dimensional half of every subsystem.
-
-    a_mu = e^p_mu * sum_alpha h_alpha q^c(alpha) chi^lam(alpha) chi^mu(alpha)
-    / (n! e^{pq}_lam) over mu in Par(n, p): one row product per mu.
-    """
-    n, row, denom = _dual_row(lam, p, q)
+    denom = factorial(n) * dim_unitary(lam, p * q)
     return _weights_on(n, p, lambda mu: Fraction(
         dim_unitary(mu, p) * sum(map(mul, row, character_row(mu))), denom))
 
@@ -298,38 +294,6 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
         n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n),
         Fraction(d ** rows(alpha), d**n), "cycle weights do not sum to d^(c - n)",
     )
-
-
-def cycle_sum_expansion(lam: Partition, p: int, q: int) -> dict[Partition, Fraction]:
-    """Coefficients of the traced state over symmetrised cycle operators.
-
-    coefficient(alpha) = p^n h_alpha q^c(alpha) chi^lam(alpha) / (n! e^{pq}_lam),
-    chosen so that sum_alpha coefficient(alpha) * dual_twirl_cycle(alpha, p)
-    reproduces dual_trace(lam, p, q) exactly.  The p^n factor compensates the
-    1/p^n normalization inside the cycle operators.
-    """
-    n, row, denom = _dual_row(lam, p, q)
-    return {alpha: Fraction(p**n * r, denom) for alpha, r in zip(partitions_of(n), row)}
-
-
-def recombine_cycle_sum(coeffs: dict[Partition, Fraction], p: int) -> WernerWeights:
-    """Contract a cycle-sum expansion back to a weight vector over Par(n, p).
-
-    The independent oracle of dual_trace, through the check
-    cycle-sum-recombination: it sums cycle operators, not row products.
-    """
-    sizes = {sum(alpha) for alpha in coeffs}
-    if len(sizes) != 1:
-        raise ValueError(f"cycle types must share one size n, got sizes {sorted(sizes)}")
-    (n,) = sizes
-    acc = {mu: Fraction(0) for mu in partitions_of(n, p)}
-    for alpha, c in coeffs.items():
-        if c == 0:
-            continue
-        cyc = dual_twirl_cycle(alpha, p)
-        for mu, w in cyc.weights.items():
-            acc[mu] += c * w
-    return WernerWeights(n, p, acc)
 
 
 def fully_mixed(n: int, d: int) -> WernerWeights:
@@ -378,8 +342,9 @@ def degrees_of_freedom(n: int, d: int, kind: str) -> int:
     """Real degrees of freedom of the Werner or symmetric states on n systems.
 
     werner: sum of f_lam^2 - 1; symmetric: sum of (e^d_lam)^2 - 1, both over
-    Par(n, d).
+    Par(n, d).  n and d must be integers, as for partitions_of.
     """
+    d = _integer(d, "d must be an integer")
     if d < 1:
         raise ValueError("d must be positive")
     parts = partitions_of(n, d)

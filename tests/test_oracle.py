@@ -289,6 +289,22 @@ def test_verify_general_dual_report():
         verify_general_dual(first_standard_tableau((2, 1)), 2, 2)
 
 
+def test_general_dual_verdict_is_the_exact_certificate(check_passes, check_cases):
+    # on the check's own cases: the verdict is the PSD remainder with
+    # beta >= ((q-n+1)/q)^n, and that certificate bounds the float distance
+    # by 2(1 - beta) (up to the rounding of a sum of p^n float eigenvalues)
+    check_passes("general-dual-definetti")
+    cases = [case for case in check_cases["general-dual-definetti"]
+             if not isinstance(case[0], str)]
+    assert len(cases) == 46
+    for t, p, q in cases:
+        rep = verify_general_dual(t, p, q)
+        n = sum(map(len, t))
+        beta = Fraction(rep["beta"])
+        assert rep["pass"] == (rep["remainder_psd"] and beta >= Fraction(q - n + 1, q) ** n)
+        assert rep["delta"] <= 2 * (1 - beta) + 1e-12
+
+
 def test_verify_general_dual_represents_only_the_traced_side():
     t = first_standard_tableau((2, 1))
     with size_cap(64):

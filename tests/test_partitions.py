@@ -54,6 +54,16 @@ def test_partitions_of_small_examples():
     assert partitions_of(0, 3) == [()]
 
 
+def test_partitions_of_rejects_non_integer_sizes():
+    partitions_of(3)  # 3.0 hashes as 3, so a memo filled at 3 must not answer it
+    for args in ((3.0,), (3, 2.5), (True,), (3, True), ("3",)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            partitions_of(*args)
+    assert partitions_of(np.int64(3)) == partitions_of(3)
+    assert partitions_of(np.int64(4), np.int64(2)) == [(4,), (3, 1), (2, 2)]
+    assert all(type(p) is int for lam in partitions_of(np.int64(3)) for p in lam)
+
+
 def test_partitions_of_matches_brute_force():
     for n in range(7):
         got = partitions_of(n)

@@ -39,6 +39,18 @@ def test_registered_checks_yield_json_cases(check_passes, check_cases):
     assert not rejected
 
 
+def test_dual_trace_paths_catches_a_shifted_dual_trace(monkeypatch):
+    # negative control: the row product evaluated at q + 1 no longer matches
+    # the Kronecker sum at q, and the report names a (lam, p, q) case
+    true_dual_trace = verify.dual_trace
+    monkeypatch.setattr(verify, "dual_trace", lambda lam, p, q: true_dual_trace(lam, p, q + 1))
+    rep = verify.check_dual_trace_paths(seed=0)
+    assert not rep["pass"] and rep["failures"] > 0 and rep["cases"] == 252
+    lam, p, q = rep["counterexample"]
+    assert sum(lam) >= 1 and lam in partitions_of(sum(lam), p * q)
+    assert 1 <= p <= 4 and 1 <= q <= 4
+
+
 def test_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         verify.run_suite("nonsense")

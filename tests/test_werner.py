@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from schurweyl.characters import dim_sym, dim_unitary
@@ -10,7 +11,6 @@ from schurweyl.werner import (
     IntPolynomial,
     WernerWeights,
     character_polynomial,
-    cycle_sum_expansion,
     definetti_bound_dual,
     definetti_bound_sym,
     degrees_of_freedom,
@@ -18,7 +18,6 @@ from schurweyl.werner import (
     dual_twirl_cycle,
     fully_mixed,
     horn_witness,
-    recombine_cycle_sum,
     root_range,
     trace_distance,
     trace_out_sym,
@@ -127,19 +126,10 @@ def test_dual_trace_rejects_wide_diagrams():
         dual_trace((1, 1, 1, 1, 1), 2, 2)
 
 
-def test_recombine_cycle_sum_rejects_malformed_coefficients():
-    with pytest.raises(ValueError, match=r"one size n, got sizes \[\]"):
-        recombine_cycle_sum({}, 2)
-    with pytest.raises(ValueError, match=r"one size n, got sizes \[1, 2\]"):
-        recombine_cycle_sum({(2,): 1, (1,): 1}, 2)
-
-
 def test_trace_maps_reject_nonpositive_dimensions():
     for p, q in ((-1, -3), (0, 2), (2, 0), (-1, -1)):
         with pytest.raises(ValueError, match="p and q must be positive"):
             dual_trace((2, 1), p, q)
-        with pytest.raises(ValueError, match="p and q must be positive"):
-            cycle_sum_expansion((2, 1), p, q)
     for d in (0, -1):
         with pytest.raises(ValueError, match="d must be positive"):
             trace_out_sym((2, 1), 2, d)
@@ -243,6 +233,12 @@ def test_degrees_of_freedom():
     for kind in ("werner", "symmetric"):
         with pytest.raises(ValueError):
             degrees_of_freedom(3, 0, kind)
+        for d in (2.0, True, 2.5):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                degrees_of_freedom(3, d, kind)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            degrees_of_freedom(3.0, 2, kind)
+        assert degrees_of_freedom(np.int64(3), np.int64(2), kind) == degrees_of_freedom(3, 2, kind)
 
 
 def test_horn_witness():

@@ -35,7 +35,7 @@ from .errors import ConsistencyError
 from .partitions import (
     Partition,
     _hooks,
-    _integer,
+    _size,
     as_cycle_type,
     as_partition,
     class_sizes,
@@ -176,12 +176,7 @@ def dim_unitary(lam: Partition, d: int) -> int:
     integer (numpy integers are accepted, bools are not); anything else
     raises ValueError.
     """
-    lam = as_partition(lam)
-    if type(d) is not int:  # plain ints, the hot case, skip the call
-        d = _integer(d, "d must be an integer")
-    if d < 1:
-        raise ValueError("d must be positive")
-    return _dim_unitary(lam, d)
+    return _dim_unitary(as_partition(lam), _size(d, "d"))
 
 
 @lru_cache(maxsize=None)

@@ -58,6 +58,7 @@ from .errors import ConsistencyError, SizeCapError, current_size_cap
 from .partitions import (
     Partition,
     Tableau,
+    _size,
     as_partition,
     check_standard_tableau,
     first_standard_tableau,  # re-exported: verify and callers read it from the oracle
@@ -72,12 +73,13 @@ _EXACT_FLOAT = float(2**53)
 _SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
 
 
-def _check_cap(d: int, n: int) -> None:
-    """Reject a local dimension below 1, then a matrix side d^n above the cap."""
-    if d < 1:
-        raise ValueError("d must be positive")
+def _check_cap(d: int, n: int) -> int:
+    """The local dimension d read by partitions._size, after refusing a
+    matrix side d^n above the cap."""
+    d = _size(d, "d")
     if d**n > (cap := current_size_cap()):
         raise SizeCapError(f"matrix side {d**n} exceeds the size cap {cap}")
+    return d
 
 
 def _int_object(mat: np.ndarray) -> np.ndarray:
@@ -231,7 +233,7 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     P(pi) has a 1 at (enc(pi . x), x) for every combined index x, so each
     coefficient lands in d^n cells of one matrix.
     """
-    _check_cap(d, n)
+    d = _check_cap(d, n)
     dim = d**n
     cols = np.arange(dim)
     acc = np.zeros(dim * dim, dtype=object)
@@ -252,6 +254,7 @@ def _class_sum(coeffs: list[Fraction], d: int, n: int) -> DenseOperator:
 
 
 def identity_operator(n: int, d: int) -> DenseOperator:
+    n = _size(n, "n", 0)
     return _represent([(tuple(range(n)), 1)], d, n)
 
 
@@ -271,7 +274,7 @@ def schur_weyl_projector(lam: Partition, d: int) -> DenseOperator:
     """
     lam = as_partition(lam)
     n = sum(lam)
-    _check_cap(d, n)  # before any group-algebra work
+    d = _check_cap(d, n)  # before any group-algebra work
     unit = Fraction(dim_sym(lam), factorial(n))
     return _class_sum([unit * x for x in character_row(lam)], d, n)
 
@@ -330,7 +333,7 @@ def young_projector(t: Tableau, d: int) -> DenseOperator:
     """
     check_standard_tableau(t)
     n = sum(tableau_shape(t))
-    _check_cap(d, n)  # before any group-algebra work
+    d = _check_cap(d, n)  # before any group-algebra work
     elem, denom = _jucys_murphy_idempotent(t)
     return _represent(elem.items(), d, n, denom)
 
@@ -340,7 +343,8 @@ def young_projector(t: Tableau, d: int) -> DenseOperator:
 
 def partial_trace_subsystems(m: DenseOperator, keep: int) -> DenseOperator:
     """Trace out the last n-keep factors; the total trace is preserved."""
-    if not 0 < keep <= m.n:
+    keep = _size(keep, "keep")
+    if keep > m.n:
         raise ValueError(f"keep must be in 1..{m.n}")
     kept, traced = m.base**keep, m.base ** (m.n - keep)
     out = m.mat.reshape(kept, traced, kept, traced).trace(axis1=1, axis2=3)
@@ -357,8 +361,7 @@ def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
     at axis k+1 and its column twin at axis 2n+1; the n diagonal axes are
     appended last and summed.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
+    p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     if p * q != m.base:
         raise ValueError(f"factor dimension {m.base} is not {p}*{q}")
     n = m.n
@@ -428,7 +431,7 @@ def werner_combination(w: WernerWeights) -> DenseOperator:
     coefficient of pi is sum_mu a_mu chi^mu(pi) / (e_mu n!).
     """
     n, d = w.n, w.d
-    _check_cap(d, n)  # before any group-algebra work
+    d = _check_cap(d, n)  # before any group-algebra work
     coeff = [Fraction(0)] * len(partitions_of(n))
     for mu, a in w.weights.items():
         if a == 0:
@@ -458,7 +461,7 @@ def _traced_tableau_state(t: Tableau, p: int, q: int) -> DenseOperator:
     shape = tableau_shape(t)
     n = sum(shape)
     e = dim_unitary(shape, p * q)
-    _check_cap(p, n)  # before any group-algebra work
+    p = _check_cap(p, n)  # before any group-algebra work
     elem, denom = _jucys_murphy_idempotent(t)
     return _represent(_trace_inner_element(elem, q).items(), p, n, denom * e)
 
@@ -505,6 +508,7 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     2 - 2((q-n+1)/q)^n.  delta, that trace norm from the float eigenvalues
     of rho', is the one float in the report and takes no part in the verdict.
     """
+    p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     shape = tableau_shape(t)
     n = sum(shape)
     if q < n:

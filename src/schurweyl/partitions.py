@@ -84,18 +84,32 @@ def _canonical(parts) -> bool:
 
 
 def _row(p) -> int:
-    return _integer(p, "partition rows must be integers")
+    """One row length as a plain int; zeros are as_partition's to judge."""
+    return _size(p, "partition rows", 0, plural=True)
 
 
-def _integer(x, rule: str) -> int:
-    """x read through operator.index, so numpy integers pass; a bool or a
-    non-integer raises ValueError(f"{rule}, got {x!r}")."""
-    if not isinstance(x, bool):
+_BOUNDS = {0: "non-negative", 1: "positive"}
+
+
+def _size(x, name: str, least: int = 1, plural: bool = False) -> int:
+    """x as a plain int of at least `least`, for the size argument `name`.
+
+    A plain int passes after one type test; anything else is read through
+    operator.index, so numpy integers pass.  A bool, a non-integer or a
+    value below `least` raises ValueError naming `name` and x; `plural`
+    words it for a name that covers several values, such as "p and q".
+    """
+    if type(x) is not int:
         try:
-            return index(x)
+            if isinstance(x, bool):
+                raise TypeError
+            x = index(x)
         except TypeError:
-            pass
-    raise ValueError(f"{rule}, got {x!r}")
+            kind = "integers" if plural else "an integer"
+            raise ValueError(f"{name} must be {kind}, got {x!r}") from None
+    if x < least:
+        raise ValueError(f"{name} must be {_BOUNDS.get(least, f'at least {least}')}, got {x}")
+    return x
 
 
 def rows(lam: Partition) -> int:
@@ -108,17 +122,11 @@ def partitions_of(n: int, max_rows: int | None = None) -> list[Partition]:
 
     max_rows=None means unbounded.  n = 0 yields only the empty partition.
     Each call returns a fresh list, so callers may mutate it freely.  n and
-    max_rows must be integers (numpy integers are accepted, bools are not);
-    anything else raises ValueError.
+    max_rows must be non-negative integers (numpy integers are accepted,
+    bools are not); anything else raises ValueError.
     """
-    if type(n) is not int:  # plain ints, the hot case, skip the call
-        n = _integer(n, "n must be an integer")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if max_rows is None:
-        max_rows = n
-    elif type(max_rows) is not int:
-        max_rows = _integer(max_rows, "max_rows must be an integer")
+    n = _size(n, "n", 0)
+    max_rows = n if max_rows is None else _size(max_rows, "max_rows", 0)
     return list(_partitions(n, max_rows))
 
 

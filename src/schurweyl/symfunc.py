@@ -25,17 +25,15 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import lcm, prod
 
-from .partitions import Partition, as_partition, rows
+from .partitions import Partition, _size, as_partition, rows
 
 Spectrum = Sequence
 
 
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1); the empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
     out = 1
-    for i in range(k):
+    for i in range(_size(k, "k", 0)):
         out *= n - i
     return out
 
@@ -164,12 +162,12 @@ def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """Shifted Schur function s*_mu(lam), exact.
 
-    d may be any integer >= the row counts of both diagrams; the value does
-    not depend on the choice.  d = 0 with mu = lam = () gives 1.
+    d may be any integer >= the row counts of both diagrams (read by
+    partitions._size; anything else raises ValueError); the value does not
+    depend on the choice.  d = 0 with mu = lam = () gives 1.
     """
     mu, lam = as_partition(mu), as_partition(lam)
-    if d < rows(mu) or d < rows(lam):
-        raise ValueError("d must cover the rows of both diagrams")
+    d = _size(d, "d", max(rows(mu), rows(lam)))
     a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
     m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
     num = []

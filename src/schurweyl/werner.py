@@ -19,7 +19,7 @@ from .characters import character_row, dim_sym, dim_unitary, mn_character
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
-    _integer,
+    _size,
     as_partition,
     class_sizes,
     contains,
@@ -82,13 +82,14 @@ class WernerWeights:
     For states all weights are non-negative and sum to 1; symmetrised cycle
     operators reuse the same container with is_state() False.  Immutable
     attributes; equal vectors agree on every weight, and the hash is that
-    of (n, d).  Keys are stored as canonical partitions; a key that is not a
-    partition raises ValueError.
+    of (n, d).  n >= 0 and d >= 1 are read as plain ints and keys are stored
+    as canonical partitions; anything else raises ValueError.
     """
 
     __slots__ = ("n", "d", "weights")
 
     def __init__(self, n: int, d: int, weights: dict[Partition, Fraction]):
+        n, d = _size(n, "n", 0), _size(d, "d")
         canonical = {as_partition(mu): w for mu, w in weights.items()}
         if len(canonical) < len(weights):
             raise ValueError("two keys name the same partition")
@@ -223,19 +224,19 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
-    no integer of the size of n!.  coefficients.dim_skew (Aitken's
-    determinant) eliminates the same integer matrix when d is the row count
-    of lam and d <= lam_1, so the large-size test against it checks the
-    normaliser only.  The check inner-sum-subsystem ties the shifted form
-    to the literal coefficient sum and to standard-tableau counts.
+    no integer of the size of n!.  coefficients.dim_skew evaluates the same
+    determinant at d = the row count of lam (when that is at most lam_1), so
+    the large-size test against it checks the normalisers only.  The check
+    inner-sum-subsystem ties the shifted form to the literal coefficient sum
+    and to standard-tableau counts.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = _size(d, "d")
     lam = as_partition(lam)
     n = sum(lam)
     if rows(lam) > d:
         raise ValueError(f"{lam} has more than {d} rows")
-    if not 1 <= k <= n:
+    k = _size(k, "k")
+    if k > n:
         raise ValueError("k must be between 1 and n")
     scale = falling_factorial(n, k)
     return _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
@@ -250,8 +251,7 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     a_mu = e^p_mu sum_nu g_{lam mu nu} e^q_nu / e^{pq}_lam, which goes
     through Kronecker coefficients and the hook-content e^q, not q^c(alpha).
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
+    p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     lam = as_partition(lam)
     n = sum(lam)
     if rows(lam) > p * q:
@@ -268,11 +268,10 @@ def twirl_power(r: Spectrum, k: int) -> WernerWeights:
 
     Entries are read exactly as Fraction(x) and must sum to exactly 1.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = _size(k, "k")
     vals = sorted((Fraction(x) for x in r), reverse=True)
     if any(v < 0 for v in vals):
-        raise ValueError("spectrum entries must be non-negative")
+        raise ValueError("spectrum entries cannot be negative")
     if sum(vals) != 1:
         raise ValueError("spectrum must sum to 1")
     return _weights_on(k, len(vals), lambda mu: dim_sym(mu) * schur_eval(mu, vals))
@@ -286,8 +285,7 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
     averaged, normalized permutation operator; for alpha = (1^n) this is the
     fully mixed state.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = _size(d, "d")
     alpha = as_partition(alpha)
     n = sum(alpha)
     return _weights_on(
@@ -298,9 +296,7 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
 
 def fully_mixed(n: int, d: int) -> WernerWeights:
     """Weights of the fully mixed state I / d^n: the cycle operator of the identity."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return dual_twirl_cycle((1,) * n, d)
+    return dual_twirl_cycle((1,) * _size(n, "n"), d)
 
 
 def trace_distance(a: WernerWeights, b: WernerWeights) -> Fraction:
@@ -323,16 +319,14 @@ def definetti_bound_sym(k: int, lam_min: int) -> Fraction:
     callers should stay in the regime lam_min >> k^2 where the leading term
     dominates.
     """
-    if k < 1 or lam_min < 1:
-        raise ValueError("k and lam_min must be positive")
+    k, lam_min = _size(k, "k"), _size(lam_min, "lam_min")
     return Fraction(3 * k * (k - 1), 4 * lam_min)
 
 
 def definetti_bound_dual(n: int, q: int) -> Fraction:
     """Exact bound 2 - 2((q - n + 1)/q)^n on the distance to fully mixed
     after the inner trace; requires q >= n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n, q = _size(n, "n"), _size(q, "q")
     if q < n:
         raise ValueError(f"bound needs q >= n, got q={q} < n={n}")
     return 2 - 2 * Fraction(q - n + 1, q) ** n
@@ -344,9 +338,7 @@ def degrees_of_freedom(n: int, d: int, kind: str) -> int:
     werner: sum of f_lam^2 - 1; symmetric: sum of (e^d_lam)^2 - 1, both over
     Par(n, d).  n and d must be integers, as for partitions_of.
     """
-    d = _integer(d, "d must be an integer")
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = _size(d, "d")
     parts = partitions_of(n, d)
     if kind == "werner":
         return sum(dim_sym(lam) ** 2 for lam in parts) - 1

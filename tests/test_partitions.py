@@ -1,3 +1,5 @@
+import json
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -9,6 +11,16 @@ from hypothesis import given, strategies as st
 
 from schurweyl.characters import dim_sym, dim_unitary
 from schurweyl.coefficients import branching_sum_lr, dim_skew, littlewood_richardson
+from schurweyl.oracle import (
+    DenseOperator,
+    identity_operator,
+    partial_trace_inner,
+    partial_trace_subsystems,
+    permutation_operator,
+    schur_weyl_projector,
+    verify_general_dual,
+    young_projector,
+)
 from schurweyl.partitions import (
     _accepted,
     as_cycle_type,
@@ -26,7 +38,18 @@ from schurweyl.partitions import (
     skew_standard_count,
     standard_tableaux,
 )
-from schurweyl.symfunc import schur_eval, shifted_schur_eval
+from schurweyl.symfunc import falling_factorial, schur_eval, shifted_schur_eval
+from schurweyl.werner import (
+    WernerWeights,
+    definetti_bound_dual,
+    definetti_bound_sym,
+    degrees_of_freedom,
+    dual_trace,
+    dual_twirl_cycle,
+    fully_mixed,
+    trace_out_sym,
+    twirl_power,
+)
 
 
 @st.composite
@@ -243,6 +266,93 @@ def test_exact_layer_entry_points_validate_partitions(name):
             call(bad)
     value = call((2, 1))
     assert value and call((2, 1, 0)) == value and call([2, 1]) == value
+
+
+# every size argument, read by partitions._size, as
+# slot -> (the name its errors carry, a valid value, the first value below
+# its range, x -> value)
+SIZE_SLOTS = {
+    "partitions_of n": ("n", 3, -1, lambda x: partitions_of(x)),
+    "partitions_of max_rows": ("max_rows", 2, -1, lambda x: partitions_of(3, x)),
+    "as_partition row": ("partition rows", 1, -1, lambda x: as_partition((3, x))),
+    "dim_unitary d": ("d", 3, 0, lambda x: dim_unitary((2, 1), x)),
+    "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
+    "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),
+    "trace_out_sym k": ("k", 2, 0, lambda x: trace_out_sym((2, 1), x, 2)),
+    "trace_out_sym d": ("d", 2, 0, lambda x: trace_out_sym((2, 1), 2, x)),
+    "dual_trace p": ("p", 2, 0, lambda x: dual_trace((2, 1), x, 3)),
+    "dual_trace q": ("q", 3, 0, lambda x: dual_trace((2, 1), 2, x)),
+    "twirl_power k": ("k", 2, 0, lambda x: twirl_power(SPECTRUM, x)),
+    "dual_twirl_cycle d": ("d", 2, 0, lambda x: dual_twirl_cycle((2, 1), x)),
+    "fully_mixed n": ("n", 2, 0, lambda x: fully_mixed(x, 2)),
+    "fully_mixed d": ("d", 2, 0, lambda x: fully_mixed(2, x)),
+    "definetti_bound_sym k": ("k", 2, 0, lambda x: definetti_bound_sym(x, 80)),
+    "definetti_bound_sym lam_min": ("lam_min", 80, 0, lambda x: definetti_bound_sym(2, x)),
+    "definetti_bound_dual n": ("n", 2, 0, lambda x: definetti_bound_dual(x, 4)),
+    "definetti_bound_dual q": ("q", 4, 1, lambda x: definetti_bound_dual(2, x)),
+    "degrees_of_freedom n": ("n", 3, -1, lambda x: degrees_of_freedom(x, 2, "symmetric")),
+    "degrees_of_freedom d": ("d", 2, 0, lambda x: degrees_of_freedom(3, x, "symmetric")),
+    "WernerWeights n": ("n", 1, -1, lambda x: WernerWeights(x, 2, {(1,): Fraction(1)})),
+    "WernerWeights d": ("d", 2, 0, lambda x: WernerWeights(1, x, {(1,): Fraction(1)})),
+    "schur_weyl_projector d": ("d", 2, 0, lambda x: schur_weyl_projector((2, 1), x)),
+    "permutation_operator d": ("d", 2, 0, lambda x: permutation_operator((1, 0), x)),
+    "identity_operator n": ("n", 2, -1, lambda x: identity_operator(x, 2)),
+    "identity_operator d": ("d", 2, 0, lambda x: identity_operator(2, x)),
+    "young_projector d": ("d", 2, 0, lambda x: young_projector(first_standard_tableau((2, 1)), x)),
+    "partial_trace_subsystems keep": (
+        "keep", 1, 0, lambda x: partial_trace_subsystems(identity_operator(2, 2), x)),
+    "partial_trace_inner p": ("p", 2, 0, lambda x: partial_trace_inner(identity_operator(2, 4), x, 2)),
+    "partial_trace_inner q": ("q", 2, 0, lambda x: partial_trace_inner(identity_operator(2, 4), 2, x)),
+    "verify_general_dual p": (
+        "p", 2, 0, lambda x: verify_general_dual(first_standard_tableau((2,)), x, 3)),
+    "verify_general_dual q": (
+        "q", 3, 1, lambda x: verify_general_dual(first_standard_tableau((2,)), 2, x)),
+}
+
+
+def _sizes_carried(value) -> tuple:
+    """The sizes a result stores, after checking that it serialises."""
+    if isinstance(value, WernerWeights):
+        json.dumps(value.as_json())
+        return value.n, value.d
+    if isinstance(value, DenseOperator):
+        return value.n, value.base
+    if isinstance(value, dict):
+        json.dumps(value)
+        return value["p"], value["q"]
+    return ()
+
+
+@pytest.mark.parametrize("slot", SIZE_SLOTS)
+def test_size_arguments_are_read_alike(slot):
+    name, valid, low, call = SIZE_SLOTS[slot]
+    for bad in (2.0, True, "3", low):
+        with pytest.raises(ValueError) as info:  # a TypeError escaping fails the test
+            call(bad)
+        message = str(info.value)
+        assert re.search(rf"(?<!\w){name}(?!\w)", message) and repr(bad) in message, message
+    got, want = call(np.int64(valid)), call(valid)
+    assert got.same_as(want) if isinstance(got, DenseOperator) else got == want
+    assert all(type(size) is int for size in _sizes_carried(got))
+
+
+def test_size_faults_found_by_hand_name_their_own_argument():
+    for args in ((3, -1), (0, -1)):
+        with pytest.raises(ValueError, match="max_rows must be non-negative"):
+            partitions_of(*args)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        fully_mixed(2.0, 2)
+    with pytest.raises(ValueError, match=r"p and q must be integers, got 3\.0"):
+        dual_trace((2, 1), 2, 3.0)
+    with pytest.raises(ValueError, match="p and q must be integers, got True"):
+        dual_trace((2, 1), True, 3)
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.0"):
+        trace_out_sym((2, 1), 2, 2.0)
+    # numpy sizes are stored as plain ints, so the weights serialise
+    for w in (dual_trace((2, 1), np.int64(2), 3), trace_out_sym((2, 1), 2, np.int64(2)),
+              dual_twirl_cycle((2, 1), np.int64(2))):
+        assert type(w.n) is int and type(w.d) is int
+        assert json.loads(json.dumps(w.as_json()))["d"] == 2
 
 
 def test_parse_format_roundtrip():

@@ -24,3 +24,28 @@ def test_characters_import_no_higher_layer():
     local = {node.module for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level}
     assert local == {"errors", "partitions"}
+
+
+SIZE_RULES = ("must be positive", "must be non-negative", "must be an integer")
+
+
+def test_sizes_are_read_only_by_partitions_size():
+    # every size argument goes through partitions._size: a module that reads
+    # an integer itself, or words a size's range itself, holds a second copy
+    # of that decision
+    found = []
+    for path in SOURCES:
+        if path.name == "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                    and any(alias.name == "index" for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "index"
+                    and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+                found.append(f"{path.name}:{node.lineno} operator.index")
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"):
+                text = "".join(part.value for part in ast.walk(node.exc)
+                               if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                found += [f"{path.name}:{node.lineno} {rule!r}" for rule in SIZE_RULES if rule in text]
+    assert found == []

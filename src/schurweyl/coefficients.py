@@ -13,17 +13,17 @@ so that one can cross-validate the other:
   validated against its permutation symmetries, a literal per-class sum
   of mn_character values in the tests, and the dense tensor oracle
   elsewhere.
-* f^{lambda/mu}: f_lambda s*_mu(lambda) / (n falling k), through the
-  shifted Schur determinant that the subsystem trace evaluates, so no
-  second builder of that matrix exists; cross-checked by the brute-force
+* f^{lambda/mu}: Aitken's determinant, cross-checked by the brute-force
   standard-tableau count partitions.skew_standard_count.  No production
-  path consumes dim_skew; its docstring says what pins the determinant.
+  path consumes dim_skew.  The subsystem trace's shifted Schur values
+  eliminate the same integer matrix, so comparing the two checks only the
+  normaliser; dim_skew's docstring says what pins the determinant.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import factorial
+from math import factorial, prod
 from operator import sub
 
 from .characters import _kronecker, character_row, dim_sym, dim_unitary
@@ -36,7 +36,7 @@ from .partitions import (
     contains,
     partitions_of,
 )
-from .symfunc import falling_factorial, shifted_schur_eval
+from .symfunc import _det, falling_factorial
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -174,18 +174,23 @@ def branching_sum_kron(lam: Partition, mu: Partition, q: int) -> int:
 
 
 def dim_skew(outer: Partition, inner: Partition) -> int:
-    """Number of standard fillings of outer/inner, by the shifted Schur value.
+    """Number of standard fillings of outer/inner, by Aitken's determinant.
 
-    f^{lam/mu} = f_lam * s*_mu(lam) / (n falling k) with n = |lam| and
-    k = |mu| (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042),
-    s*_mu(lam) taken at d = l, the row count of lam: the determinant that
-    werner.trace_out_sym evaluates.  A diagram with more rows than columns
-    is conjugated first, which leaves the count unchanged and keeps the
-    matrix side at most sqrt(|lam|).  Exact for diagrams with thousands of
-    boxes; 0 unless inner fits inside outer.  The determinant is pinned by
-    the standard-tableau count partitions.skew_standard_count on small
-    diagrams and, at thousands of boxes, by the hook-length,
-    restriction-rule and box-removal tests.
+    f^{lam/mu} = N! det[1 / (lam_i - mu_j - i + j)!] with N = |lam| - |mu|
+    and 1/m! = 0 for m < 0 (Macdonald, Symmetric Functions, I.7 Ex. 3).
+    Row i is scaled by a_i! with a_i = lam_i - i + l - 1 (l rows, mu
+    zero-padded to l), which turns every entry into the integer falling
+    factorial a_i (a_i - 1) ... (a_i - b_j + 1) with b_j = mu_j - j + l - 1.
+    A diagram with more rows than columns is conjugated first, which
+    leaves the count unchanged and keeps the matrix side at most
+    sqrt(|lam|).  Exact for diagrams with thousands of boxes; 0 unless
+    inner fits inside outer.  For l <= lam_1, shifted_schur_eval(mu, lam, l)
+    (werner.trace_out_sym) hands this very matrix to _det and differs only
+    in the normaliser, prod_{i<j} (a_i - a_j) for N!/prod a_i!, so comparing
+    the two checks the normalisers only.  The determinant is pinned by the
+    standard-tableau count partitions.skew_standard_count on small diagrams
+    and, at thousands of boxes, by the hook-length, restriction-rule and
+    box-removal tests.
     """
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
@@ -193,9 +198,11 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     if outer and len(outer) > outer[0]:
         # f^{lam/mu} = f^{lam'/mu'}: keep the matrix side at min(rows, columns)
         outer, inner = conjugate(outer), conjugate(inner)
-    s = shifted_schur_eval(inner, outer, len(outer))
-    value, rem = divmod(dim_sym(outer) * s.numerator,
-                        s.denominator * falling_factorial(sum(outer), sum(inner)))
+    size = len(outer)
+    a = [outer[i] - i + size - 1 for i in range(size)]
+    b = [(inner[j] if j < len(inner) else 0) - j + size - 1 for j in range(size)]
+    det = _det([[falling_factorial(ai, bj) for bj in b] for ai in a])
+    value, rem = divmod(factorial(sum(outer) - sum(inner)) * det, prod(factorial(ai) for ai in a))
     if rem or value < 1:
-        raise ConsistencyError(f"skew dimension of {outer}/{inner} is not a positive integer")
+        raise ConsistencyError(f"Aitken determinant for {outer}/{inner} is not a positive integer")
     return value

@@ -91,13 +91,14 @@ def _row(p) -> int:
 _BOUNDS = {0: "non-negative", 1: "positive"}
 
 
-def _size(x, name: str, least: int = 1, plural: bool = False) -> int:
+def _size(x, name: str, least: int | None = 1, plural: bool = False) -> int:
     """x as a plain int of at least `least`, for the size argument `name`.
 
     A plain int passes after one type test; anything else is read through
     operator.index, so numpy integers pass.  A bool, a non-integer or a
-    value below `least` raises ValueError naming `name` and x; `plural`
-    words it for a name that covers several values, such as "p and q".
+    value below `least` raises ValueError naming `name` and x; least=None
+    sets no lower bound.  `plural` words the message for a name that
+    covers several values, such as "p and q".
     """
     if type(x) is not int:
         try:
@@ -107,7 +108,7 @@ def _size(x, name: str, least: int = 1, plural: bool = False) -> int:
         except TypeError:
             kind = "integers" if plural else "an integer"
             raise ValueError(f"{name} must be {kind}, got {x!r}") from None
-    if x < least:
+    if least is not None and x < least:
         raise ValueError(f"{name} must be {_BOUNDS.get(least, f'at least {least}')}, got {x}")
     return x
 

@@ -31,8 +31,9 @@ Spectrum = Sequence
 
 
 def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1); the empty product 1 for k = 0."""
-    out = 1
+    """n (n-1) ... (n-k+1); the empty product 1 for k = 0.  n may be any
+    integer, k any non-negative one; both are read by partitions._size."""
+    n, out = _size(n, "n", None), 1
     for i in range(_size(k, "k", 0)):
         out *= n - i
     return out

@@ -224,11 +224,11 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
-    no integer of the size of n!.  coefficients.dim_skew evaluates the same
-    determinant at d = the row count of lam (when that is at most lam_1), so
-    the large-size test against it checks the normalisers only.  The check
-    inner-sum-subsystem ties the shifted form to the literal coefficient sum
-    and to standard-tableau counts.
+    no integer of the size of n!.  coefficients.dim_skew (Aitken's
+    determinant) eliminates the same integer matrix when d is the row count
+    of lam and d <= lam_1, so the large-size test against it checks the
+    normaliser only.  The check inner-sum-subsystem ties the shifted form
+    to the literal coefficient sum and to standard-tableau counts.
     """
     d = _size(d, "d")
     lam = as_partition(lam)
@@ -271,7 +271,7 @@ def twirl_power(r: Spectrum, k: int) -> WernerWeights:
     k = _size(k, "k")
     vals = sorted((Fraction(x) for x in r), reverse=True)
     if any(v < 0 for v in vals):
-        raise ValueError("spectrum entries cannot be negative")
+        raise ValueError("spectrum entries must be non-negative")
     if sum(vals) != 1:
         raise ValueError("spectrum must sum to 1")
     return _weights_on(k, len(vals), lambda mu: dim_sym(mu) * schur_eval(mu, vals))

@@ -270,12 +270,13 @@ def test_exact_layer_entry_points_validate_partitions(name):
 
 # every size argument, read by partitions._size, as
 # slot -> (the name its errors carry, a valid value, the first value below
-# its range, x -> value)
+# its range or None if it has no lower bound, x -> value)
 SIZE_SLOTS = {
     "partitions_of n": ("n", 3, -1, lambda x: partitions_of(x)),
     "partitions_of max_rows": ("max_rows", 2, -1, lambda x: partitions_of(3, x)),
     "as_partition row": ("partition rows", 1, -1, lambda x: as_partition((3, x))),
     "dim_unitary d": ("d", 3, 0, lambda x: dim_unitary((2, 1), x)),
+    "falling_factorial n": ("n", 5, None, lambda x: falling_factorial(x, 2)),
     "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
     "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),
     "trace_out_sym k": ("k", 2, 0, lambda x: trace_out_sym((2, 1), x, 2)),
@@ -326,7 +327,7 @@ def _sizes_carried(value) -> tuple:
 @pytest.mark.parametrize("slot", SIZE_SLOTS)
 def test_size_arguments_are_read_alike(slot):
     name, valid, low, call = SIZE_SLOTS[slot]
-    for bad in (2.0, True, "3", low):
+    for bad in (2.0, True, "3") + (() if low is None else (low,)):
         with pytest.raises(ValueError) as info:  # a TypeError escaping fails the test
             call(bad)
         message = str(info.value)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "schurweyl").glob("*.py"))
@@ -26,13 +27,14 @@ def test_characters_import_no_higher_layer():
     assert local == {"errors", "partitions"}
 
 
-SIZE_RULES = ("must be positive", "must be non-negative", "must be an integer")
+SIZE_NAMES = re.compile(r"(?<!\w)(?:n|d|k|p|q|keep|max_rows|lam_min)(?!\w)")
+SIZE_RULES = re.compile(r"must be (?:positive|non-negative|an integer)")
 
 
 def test_sizes_are_read_only_by_partitions_size():
     # every size argument goes through partitions._size: a module that reads
-    # an integer itself, or words a size's range itself, holds a second copy
-    # of that decision
+    # an integer itself, or words the range of a named size itself, holds a
+    # second copy of that decision
     found = []
     for path in SOURCES:
         if path.name == "partitions.py":
@@ -47,5 +49,6 @@ def test_sizes_are_read_only_by_partitions_size():
                     and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"):
                 text = "".join(part.value for part in ast.walk(node.exc)
                                if isinstance(part, ast.Constant) and isinstance(part.value, str))
-                found += [f"{path.name}:{node.lineno} {rule!r}" for rule in SIZE_RULES if rule in text]
+                if SIZE_RULES.search(text) and SIZE_NAMES.search(text):
+                    found.append(f"{path.name}:{node.lineno} {text!r}")
     assert found == []

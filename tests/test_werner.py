@@ -89,9 +89,9 @@ def test_trace_out_sym_matches_the_coefficient_sum():
 
 
 def test_trace_out_sym_matches_the_skew_dimension_at_large_sizes():
-    # far beyond the coefficient sum.  With d the row count, dim_skew takes
-    # this very shifted Schur determinant, so this checks the normalisers;
-    # test_coefficients.py pins the determinant at these sizes
+    # far beyond the coefficient sum.  With d the row count, dim_skew and
+    # shifted_schur_eval eliminate the same matrix, so this checks the
+    # normalisers; test_coefficients.py pins the determinant at these sizes
     for lam, k, d in (((1200, 900, 600, 300), 6, 4), ((242, 158), 3, 2)):
         f = dim_sym(lam)
         w = trace_out_sym(lam, k, d)

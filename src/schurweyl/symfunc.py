@@ -100,8 +100,9 @@ def semistandard_tableaux(shape: Partition, d: int) -> Iterator[tuple[int, ...]]
 
     Rows weakly increase, columns strictly increase.  Only the content
     vector (count of each entry) is surfaced; that is all the monomial sum
-    needs.
+    needs.  d is read by partitions._size when iteration starts.
     """
+    d = _size(d, "d", 0)
     if rows(shape) > d:
         return
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]

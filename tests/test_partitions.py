@@ -38,7 +38,12 @@ from schurweyl.partitions import (
     skew_standard_count,
     standard_tableaux,
 )
-from schurweyl.symfunc import falling_factorial, schur_eval, shifted_schur_eval
+from schurweyl.symfunc import (
+    falling_factorial,
+    schur_eval,
+    semistandard_tableaux,
+    shifted_schur_eval,
+)
 from schurweyl.werner import (
     WernerWeights,
     definetti_bound_dual,
@@ -278,6 +283,7 @@ SIZE_SLOTS = {
     "dim_unitary d": ("d", 3, 0, lambda x: dim_unitary((2, 1), x)),
     "falling_factorial n": ("n", 5, None, lambda x: falling_factorial(x, 2)),
     "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
+    "semistandard_tableaux d": ("d", 2, -1, lambda x: list(semistandard_tableaux((2, 1), x))),
     "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),
     "trace_out_sym k": ("k", 2, 0, lambda x: trace_out_sym((2, 1), x, 2)),
     "trace_out_sym d": ("d", 2, 0, lambda x: trace_out_sym((2, 1), 2, x)),

@@ -30,6 +30,7 @@ from .characters import _kronecker, character_row, dim_sym, dim_unitary
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _size,
     as_partition,
     class_sizes,
     conjugate,
@@ -143,7 +144,7 @@ def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
     The independent oracle of werner.trace_out_sym, through the check
     inner-sum-subsystem.
     """
-    lam, mu = as_partition(lam), as_partition(mu)
+    lam, mu, d = as_partition(lam), as_partition(mu), _size(d, "d")
     m = sum(lam) - sum(mu)
     if m < 0:
         return 0
@@ -162,7 +163,7 @@ def branching_sum_kron(lam: Partition, mu: Partition, q: int) -> int:
     also the oracle of werner.dual_trace, through the check
     dual-trace-paths: a_mu = e^p_mu * this sum / e^{pq}_lam.
     """
-    lam, mu = as_partition(lam), as_partition(mu)
+    lam, mu, q = as_partition(lam), as_partition(mu), _size(q, "q")
     n = sum(lam)
     if sum(mu) != n:
         raise ValueError("branching sum needs equal box counts")

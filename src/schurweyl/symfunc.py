@@ -31,8 +31,7 @@ Spectrum = Sequence
 
 
 def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1); the empty product 1 for k = 0.  n may be any
-    integer, k any non-negative one; both are read by partitions._size."""
+    """n (n-1) ... (n-k+1) for integers n and k >= 0; the empty product 1 for k = 0."""
     n, out = _size(n, "n", None), 1
     for i in range(_size(k, "k", 0)):
         out *= n - i
@@ -164,9 +163,8 @@ def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """Shifted Schur function s*_mu(lam), exact.
 
-    d may be any integer >= the row counts of both diagrams (read by
-    partitions._size; anything else raises ValueError); the value does not
-    depend on the choice.  d = 0 with mu = lam = () gives 1.
+    d may be any integer >= the row counts of both diagrams; the value does
+    not depend on the choice.  d = 0 with mu = lam = () gives 1.
     """
     mu, lam = as_partition(mu), as_partition(lam)
     d = _size(d, "d", max(rows(mu), rows(lam)))

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurweyl.characters import dim_sym, dim_unitary
-from schurweyl.coefficients import branching_sum_lr, dim_skew, littlewood_richardson
+from schurweyl.coefficients import (
+    branching_sum_kron,
+    branching_sum_lr,
+    dim_skew,
+    littlewood_richardson,
+)
 from schurweyl.oracle import (
     DenseOperator,
     identity_operator,
@@ -283,6 +288,8 @@ SIZE_SLOTS = {
     "dim_unitary d": ("d", 3, 0, lambda x: dim_unitary((2, 1), x)),
     "falling_factorial n": ("n", 5, None, lambda x: falling_factorial(x, 2)),
     "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
+    "branching_sum_lr d": ("d", 2, 0, lambda x: branching_sum_lr((2, 1), (1,), x)),
+    "branching_sum_kron q": ("q", 2, 0, lambda x: branching_sum_kron((2, 1), (2, 1), x)),
     "semistandard_tableaux d": ("d", 2, -1, lambda x: list(semistandard_tableaux((2, 1), x))),
     "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),
     "trace_out_sym k": ("k", 2, 0, lambda x: trace_out_sym((2, 1), x, 2)),

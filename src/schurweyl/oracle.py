@@ -18,9 +18,8 @@ on it: first as an element of the integer group algebra Z[S_n] (a
 permutation's index map.  Work that depends only on the group (character
 class sums, Jucys-Murphy products) therefore costs n!-sized dict
 arithmetic, never d^n-sided matrix products.  Products of operators (`@`)
-still run through float64 BLAS whenever a magnitude bound proves every
-intermediate integer stays below 2^53 (hence exact), with an object dtype
-fallback otherwise.
+run in int64 whenever a magnitude bound proves every partial sum stays
+below 2^63 (hence exact), with an object dtype fallback otherwise.
 
 Measurements build no operators.  Every index a construction or a
 measurement reads comes from the digits of the combined indices
@@ -69,7 +68,6 @@ from .partitions import (
 from .symfunc import _is_psd
 from .werner import WernerWeights, definetti_bound_dual
 
-_EXACT_FLOAT = float(2**53)
 _SCATTER_CELLS = 2**16  # matrix cells scattered per batch of terms
 
 
@@ -82,18 +80,18 @@ def _check_cap(d: int, n: int) -> int:
     return d
 
 
-def _int_object(mat: np.ndarray) -> np.ndarray:
-    # via tolist so entries are Python ints, not overflow-prone numpy scalars
-    return np.array(np.rint(mat).astype(np.int64).tolist(), dtype=object)
-
-
 def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer object matrices, BLAS-accelerated when safe."""
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    amax, bmax = np.abs(af).max(initial=0.0), np.abs(bf).max(initial=0.0)
-    if amax < _EXACT_FLOAT and bmax < _EXACT_FLOAT and a.shape[1] * amax * bmax < _EXACT_FLOAT:
-        return _int_object(af @ bf)
+    """Exact product of integer object matrices, in int64 when a magnitude
+    bound keeps every partial sum below 2^63; Python ints otherwise."""
+    try:
+        ai, bi = a.astype(np.int64), b.astype(np.int64)
+    except OverflowError:
+        return a.dot(b)
+    # max(max, -min) in Python ints: abs would wrap -2^63 back to itself
+    amax = max(int(ai.max(initial=0)), -int(ai.min(initial=0)))
+    bmax = max(int(bi.max(initial=0)), -int(bi.min(initial=0)))
+    if a.shape[1] * amax * bmax < 2**63:
+        return (ai @ bi).astype(object)  # object entries are Python ints
     return a.dot(b)
 
 
@@ -511,13 +509,11 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     shape = tableau_shape(t)
     n = sum(shape)
-    if q < n:
-        raise ValueError(f"the bound needs q >= n, got q={q} < n={n}")
+    bound = definetti_bound_dual(n, q)  # refuses q < n before any group-algebra work
     traced = _traced_tableau_state(t, p, q)
     mixed = Fraction(1, p**n)  # the eigenvalue of the fully mixed state
     # trace_norm(rho' - I/p^n) without building I: shift the eigenvalues of rho'
     delta = float(np.abs(np.linalg.eigvalsh(traced.to_float()) - float(mixed)).sum())
-    bound = definetti_bound_dual(n, q)
     beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, dim_unitary(shape, p * q))
     psd = _psd_above(traced, beta * mixed)
     return {

@@ -3,8 +3,9 @@
 Every value is one integer determinant, taken by fraction-free Bareiss
 elimination.  Ordinary Schur values use Jacobi-Trudi, det[h_{mu_i - i + j}],
 on the spectrum scaled to integers, so repeated and zero entries need no
-special case.  The semistandard-tableau monomial sum is kept only as the
-independent oracle for small shapes.
+special case.  The semistandard-tableau monomial sum, swept shape by shape
+over horizontal strips with no determinant, is kept only as the
+independent oracle of schur_eval.
 
 Shifted Schur values use the ratio of factorial determinants
 det[(a_i) falling (mu_j + d - 1 - j)] / det[(a_i) falling (d - 1 - j)] with
@@ -21,8 +22,9 @@ enforces rather than assumes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 
 from .partitions import Partition, _size, as_partition, rows
@@ -94,49 +96,30 @@ def _is_psd(m: list[list[int]]) -> bool:
     return True
 
 
-def semistandard_tableaux(shape: Partition, d: int) -> Iterator[tuple[int, ...]]:
-    """Yield the content of each semistandard filling of `shape` with entries 1..d.
-
-    Rows weakly increase, columns strictly increase.  Only the content
-    vector (count of each entry) is surfaced; that is all the monomial sum
-    needs.  d is read by partitions._size when iteration starts.
-    """
-    d = _size(d, "d", 0)
-    if rows(shape) > d:
-        return
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    filling = [[0] * shape[r] for r in range(len(shape))]
-    content = [0] * (d + 1)
-
-    def fill(idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(cells):
-            yield tuple(content[1:])
-            return
-        r, c = cells[idx]
-        lo = filling[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, filling[r - 1][c] + 1)
-        for v in range(lo, d + 1):
-            filling[r][c] = v
-            content[v] += 1
-            yield from fill(idx + 1)
-            content[v] -= 1
-            filling[r][c] = 0
-
-    yield from fill(0)
-
-
 def schur_eval_tableau(mu: Partition, r: Spectrum):
-    """s_mu(r) as the monomial sum over semistandard tableaux."""
-    d = len(r)
-    total = 0
-    for content in semistandard_tableaux(mu, d):
-        term = 1
-        for i, count in enumerate(content):
-            if count:
-                term *= r[i] ** count
-        total += term
-    return total
+    """s_mu(r) as the monomial sum over semistandard tableaux, shape by shape.
+
+    The independent oracle for schur_eval: no determinant, no Jacobi-Trudi.
+    The boxes holding the largest entry of a semistandard tableau form a
+    horizontal strip mu/nu, and the rest is a semistandard tableau of nu
+    (Macdonald, Symmetric Functions, I.5.11).  So the sweep takes the
+    entries x of r last first, sends each shape kappa to every nu with
+    kappa_{i+1} <= nu_i <= kappa_i, times x^(|kappa| - |nu|), and merges
+    equal shapes; s_mu(r) is the weight left on the empty shape.  A shape
+    with more rows than entries still to place is dropped: it can never
+    empty.
+    """
+    shapes = {as_partition(mu): 1}
+    for left in reversed(range(len(r))):  # r[:left] is still to place
+        x, merged = r[left], {}
+        for kappa, weight in shapes.items():
+            size = sum(kappa)
+            for strip in product(*map(range, kappa[1:] + (0,), [k + 1 for k in kappa])):
+                nu = tuple(filter(None, strip))  # only the last row can empty
+                if len(nu) <= left:
+                    merged[nu] = merged.get(nu, 0) + weight * x ** (size - sum(nu))
+        shapes = merged
+    return shapes.get((), 0)
 
 
 def schur_eval(mu: Partition, r: Spectrum) -> Fraction:

@@ -287,6 +287,8 @@ def test_verify_general_dual_report():
     assert rep["pass"]
     with pytest.raises(ValueError):
         verify_general_dual(first_standard_tableau((2, 1)), 2, 2)
+    with pytest.raises(ValueError, match="q >= n"):
+        verify_general_dual(first_standard_tableau((2, 2)), 2, 3)
 
 
 def test_general_dual_verdict_is_the_exact_certificate(check_passes, check_cases):
@@ -424,3 +426,20 @@ def test_operator_arithmetic_sanity():
     assert (swap - swap).is_zero()
     with pytest.raises(ValueError):
         ident + identity_operator(3, 2)
+
+
+def test_integer_products_are_exact_python_ints():
+    # both paths: int64 while k * amax * bmax < 2^63, Python ints beyond
+    rng = random.Random(7)
+    for bits in (20, 30, 40, 70):
+        for side in (1, 3, 6):
+            a, b = (_obj([[rng.randint(-2**bits, 2**bits) for _ in range(side)] for _ in range(side)])
+                    for _ in range(2))
+            zero = _obj([[0] * side for _ in range(side)])
+            for x, y in ((a, b), (a, zero), (zero, b)):
+                got = oracle._imatmul(x, y)
+                assert got.dtype == object and (got == x.dot(y)).all()
+                assert all(type(v) is int for v in got.flat)
+    # -2^63 fits int64 but its magnitude does not: abs would wrap it negative
+    got = oracle._imatmul(_obj([[-2**63, 0]]), _obj([[-1], [0]]))
+    assert got[0, 0] == 2**63 and type(got[0, 0]) is int

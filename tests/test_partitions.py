@@ -46,7 +46,7 @@ from schurweyl.partitions import (
 from schurweyl.symfunc import (
     falling_factorial,
     schur_eval,
-    semistandard_tableaux,
+    schur_eval_tableau,
     shifted_schur_eval,
 )
 from schurweyl.werner import (
@@ -261,6 +261,7 @@ ENTRY_POINTS = {
     "shifted_schur_eval mu": lambda p: shifted_schur_eval(p, (3, 2), 3),
     "shifted_schur_eval lam": lambda p: shifted_schur_eval((1,), p, 3),
     "schur_eval": lambda p: schur_eval(p, SPECTRUM),
+    "schur_eval_tableau": lambda p: schur_eval_tableau(p, SPECTRUM),
     "dim_sym": dim_sym,
     "dim_unitary": lambda p: dim_unitary(p, 3),
     "hooks": hooks,
@@ -290,7 +291,6 @@ SIZE_SLOTS = {
     "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
     "branching_sum_lr d": ("d", 2, 0, lambda x: branching_sum_lr((2, 1), (1,), x)),
     "branching_sum_kron q": ("q", 2, 0, lambda x: branching_sum_kron((2, 1), (2, 1), x)),
-    "semistandard_tableaux d": ("d", 2, -1, lambda x: list(semistandard_tableaux((2, 1), x))),
     "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),
     "trace_out_sym k": ("k", 2, 0, lambda x: trace_out_sym((2, 1), x, 2)),
     "trace_out_sym d": ("d", 2, 0, lambda x: trace_out_sym((2, 1), 2, x)),

@@ -15,7 +15,6 @@ from schurweyl.symfunc import (
     falling_factorial,
     schur_eval,
     schur_eval_tableau,
-    semistandard_tableaux,
     shifted_schur_eval,
 )
 
@@ -74,10 +73,20 @@ def test_integer_psd_test_is_the_principal_minor_rule():
 
 
 def test_semistandard_count_is_the_unitary_dimension():
+    # s_mu(1, ..., 1) counts the semistandard tableaux with entries 1..d
     for n in range(1, 6):
         for mu in partitions_of(n):
             for d in range(1, 5):
-                assert sum(1 for _ in semistandard_tableaux(mu, d)) == dim_unitary(mu, d)
+                assert schur_eval_tableau(mu, (1,) * d) == dim_unitary(mu, d)
+            assert schur_eval_tableau(mu, ()) == 0
+    assert schur_eval_tableau((), ()) == 1
+
+
+def test_tableau_sum_takes_long_rows():
+    # one row of 1200 boxes: the sweep merges shapes, nothing recurses per box
+    assert schur_eval_tableau((1200,), (1,)) == 1
+    half = Fraction(1, 2)
+    assert schur_eval_tableau((300,), (half, half)) == Fraction(301, 2**300)
 
 
 def test_schur_first_row_sums():

@@ -4,7 +4,7 @@ Everything the weight calculus asserts algebraically is rebuilt here as a
 literal matrix and re-measured: permutation operators, duality-block
 projectors, single-irrep projectors from standard tableaux, both partial
 traces, the permutation average, the duality-block weights and the trace
-norm.
+norm, the one float result (`trace_norm` is the only eigensolve).
 
 Operators are stored as an integer matrix (numpy object dtype, so entries
 are unbounded Python ints) times one global Fraction.  Every operator this
@@ -15,11 +15,11 @@ Every operator is constructed the same way, before any measurement acts
 on it: first as an element of the integer group algebra Z[S_n] (a
 {permutation: int} dict with one common denominator), then represented on
 (C^d)^(x n) by scattering each coefficient into one matrix through the
-permutation's index map.  Work that depends only on the group (character
-class sums, Jucys-Murphy products) therefore costs n!-sized dict
-arithmetic, never d^n-sided matrix products.  Products of operators (`@`)
-run in int64 whenever a magnitude bound proves every partial sum stays
-below 2^63 (hence exact), with an object dtype fallback otherwise.
+permutation's index map.  Work that depends only on the group (the
+character class sums of `_class_sum`, Jucys-Murphy products) therefore costs
+n!-sized dict arithmetic, never d^n-sided matrix products.  Products of
+operators (`@`) run in int64 whenever a magnitude bound proves every partial
+sum stays below 2^63 (hence exact), with an object dtype fallback otherwise.
 
 Measurements build no operators.  Every index a construction or a
 measurement reads comes from the digits of the combined indices
@@ -60,9 +60,7 @@ from .partitions import (
     _size,
     as_partition,
     check_standard_tableau,
-    first_standard_tableau,  # re-exported: verify and callers read it from the oracle
     partitions_of,
-    standard_tableaux,  # re-exported, as first_standard_tableau
     tableau_shape,
 )
 from .symfunc import _is_psd
@@ -156,9 +154,6 @@ class DenseOperator:
     def is_zero(self) -> bool:
         return bool((self.mat == 0).all())
 
-    def to_float(self) -> np.ndarray:
-        return self.mat.astype(np.float64) * float(self.scale)
-
 
 @lru_cache(maxsize=64)
 def _digits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +237,14 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
     return DenseOperator(acc.reshape(dim, dim), Fraction(1, denominator), n, d)
 
 
-def _class_sum(coeffs: list[Fraction], d: int, n: int) -> DenseOperator:
-    """The central element sum_pi coeffs[class of pi] pi on (C^d)^(x n), with
-    one rational per class in partitions_of(n) order, over their lcm."""
+def _class_sum(units: dict[Partition, Fraction], d: int, n: int) -> DenseOperator:
+    """The central element sum_mu units[mu] sum_pi chi^mu(pi) pi on (C^d)^(x n),
+    exact (no units: zero).  The one place class rationals are formed, after the
+    cap check, over their lcm; `trace_norm` is the oracle's one float eigensolve."""
+    d = _check_cap(d, n)
+    coeffs = [Fraction(0)] * len(partitions_of(n))
+    for mu, u in units.items():
+        coeffs = [c + u * x for c, x in zip(coeffs, character_row(mu))]
     den = lcm(*(c.denominator for c in coeffs))
     values = {alpha: int(c * den) for alpha, c in zip(partitions_of(n), coeffs)}
     terms = ((pi, values[cycle_type(pi)]) for pi in permutations(range(n)))
@@ -272,9 +272,7 @@ def schur_weyl_projector(lam: Partition, d: int) -> DenseOperator:
     """
     lam = as_partition(lam)
     n = sum(lam)
-    d = _check_cap(d, n)  # before any group-algebra work
-    unit = Fraction(dim_sym(lam), factorial(n))
-    return _class_sum([unit * x for x in character_row(lam)], d, n)
+    return _class_sum({lam: Fraction(dim_sym(lam), factorial(n))}, d, n)
 
 
 def _contents(t: Tableau) -> dict[int, int]:
@@ -395,10 +393,10 @@ def symmetric_average(m: DenseOperator) -> DenseOperator:
 
 
 def trace_norm(m: DenseOperator) -> float:
-    """Sum of absolute eigenvalues, via a float symmetric eigensolve."""
+    """Sum of absolute eigenvalues: the oracle's one float eigensolve."""
     if not m.is_symmetric():
         raise ValueError("trace norm here expects a symmetric operator")
-    return float(np.abs(np.linalg.eigvalsh(m.to_float())).sum())
+    return float(np.abs(np.linalg.eigvalsh(m.mat.astype(np.float64) * float(m.scale))).sum())
 
 
 def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
@@ -425,18 +423,12 @@ def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
 def werner_combination(w: WernerWeights) -> DenseOperator:
     """The literal operator sum_mu a_mu rho_mu on (C^d)^(x n).
 
-    One class sum: rho_mu = (1/(e_mu n!)) sum_pi chi^mu(pi) pi, so the
-    coefficient of pi is sum_mu a_mu chi^mu(pi) / (e_mu n!).
+    One class sum: rho_mu = (1/(e_mu n!)) sum_pi chi^mu(pi) pi, so the unit
+    of mu is a_mu / (e_mu n!).
     """
     n, d = w.n, w.d
-    d = _check_cap(d, n)  # before any group-algebra work
-    coeff = [Fraction(0)] * len(partitions_of(n))
-    for mu, a in w.weights.items():
-        if a == 0:
-            continue
-        unit = Fraction(a) / (dim_unitary(mu, d) * factorial(n))
-        coeff = [c + unit * x for c, x in zip(coeff, character_row(mu))]
-    return _class_sum(coeff, d, n)
+    return _class_sum({mu: Fraction(a) / (dim_unitary(mu, d) * factorial(n))
+                       for mu, a in w.weights.items() if a}, d, n)
 
 
 def _trace_inner_element(elem: _Element, q: int) -> _Element:
@@ -503,8 +495,8 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     beta >= ((q-n+1)/q)^n.  With tr rho' = 1 these give
     rho' - I/p^n = (1 - beta)(sigma - I/p^n) for a state sigma, so the trace
     norm of rho' - I/p^n is at most 2(1 - beta), within the bound
-    2 - 2((q-n+1)/q)^n.  delta, that trace norm from the float eigenvalues
-    of rho', is the one float in the report and takes no part in the verdict.
+    2 - 2((q-n+1)/q)^n.  delta, that norm by `trace_norm` (the one float
+    eigensolve), is the one float in the report and takes no part in the verdict.
     """
     p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     shape = tableau_shape(t)
@@ -512,8 +504,7 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     bound = definetti_bound_dual(n, q)  # refuses q < n before any group-algebra work
     traced = _traced_tableau_state(t, p, q)
     mixed = Fraction(1, p**n)  # the eigenvalue of the fully mixed state
-    # trace_norm(rho' - I/p^n) without building I: shift the eigenvalues of rho'
-    delta = float(np.abs(np.linalg.eigvalsh(traced.to_float()) - float(mixed)).sum())
+    delta = trace_norm(traced - identity_operator(n, p) * mixed)
     beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, dim_unitary(shape, p * q))
     psd = _psd_above(traced, beta * mixed)
     return {

@@ -87,16 +87,6 @@ def test_lr_row_count_equals_the_cell_enumerator():
     assert littlewood_richardson((1,) * 300, (1,) * 30, (1,) * 269) == 0
 
 
-def test_lr_symmetry_in_lower_pair():
-    for n in range(2, 6):
-        for lam in partitions_of(n):
-            for k in range(n + 1):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(n - k):
-                        assert littlewood_richardson(lam, mu, nu) == \
-                            littlewood_richardson(lam, nu, mu)
-
-
 def test_kronecker_examples():
     assert kronecker((2, 1), (2, 1), (2, 1)) == 1
     for n in range(1, 6):
@@ -177,17 +167,6 @@ def test_branching_sum_kron_examples():
     assert branching_sum_kron((2, 1), (2, 1), 1) == 1
     with pytest.raises(ValueError):
         branching_sum_kron((2, 1), (2,), 2)
-
-
-def test_dim_skew_matches_brute_force():
-    for n in range(1, 8):
-        for lam in partitions_of(n):
-            for k in range(n + 1):
-                for mu in partitions_of(k):
-                    if contains(mu, lam):
-                        assert dim_skew(lam, mu) == skew_standard_count(lam, mu)
-                    else:
-                        assert dim_skew(lam, mu) == 0
 
 
 def test_dim_skew_scales_to_large_shapes():

@@ -17,22 +17,24 @@ from schurweyl.errors import (
 )
 from schurweyl.oracle import (
     DenseOperator,
-    check_standard_tableau,
-    first_standard_tableau,
     identity_operator,
     partial_trace_inner,
     partial_trace_subsystems,
     permutation_operator,
     schur_weyl_projector,
     schur_weyl_weights,
-    standard_tableaux,
     symmetric_average,
     trace_norm,
     verify_general_dual,
     werner_combination,
     young_projector,
 )
-from schurweyl.partitions import partitions_of
+from schurweyl.partitions import (
+    check_standard_tableau,
+    first_standard_tableau,
+    partitions_of,
+    standard_tableaux,
+)
 from schurweyl.werner import fully_mixed
 
 
@@ -226,19 +228,6 @@ def test_partial_trace_inner_product_rule():
     for p, q in ((-2, -2), (0, 4), (4, 0)):
         with pytest.raises(ValueError, match="must be positive"):
             partial_trace_inner(schur_weyl_projector((2,), 4), p, q)
-
-
-def test_partial_trace_inner_matches_dual_weights():
-    for p, q in ((2, 2), (2, 3)):
-        lam = (2,)
-        ef = dim_unitary(lam, p * q) * dim_sym(lam)
-        rho = schur_weyl_projector(lam, p * q) * Fraction(1, ef)
-        red = partial_trace_inner(rho, p, q)
-        assert red.trace() == 1
-        wts = schur_weyl_weights(red)
-        den = 2 * (p * q + 1)
-        assert wts[(2,)] == Fraction((p + 1) * (q + 1), den)
-        assert wts[(1, 1)] == Fraction((p - 1) * (q - 1), den)
 
 
 def test_symmetric_average_fixes_invariant_operators():

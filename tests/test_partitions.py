@@ -170,14 +170,6 @@ def test_long_rows_do_not_exhaust_the_recursion_limit():
     assert first_standard_tableau((1200,)) == (tuple(range(1, 1201)),)
 
 
-def test_skew_count_of_full_shape_is_the_irrep_dimension():
-    from schurweyl.characters import dim_sym
-
-    for n in range(1, 8):
-        for lam in partitions_of(n):
-            assert skew_standard_count(lam, ()) == dim_sym(lam)
-
-
 def test_skew_fillings_are_standard():
     # inner cells read 0; the others hold 1..N once each, increasing along
     # rows and down columns

@@ -89,12 +89,7 @@ def _character_row(lam: Partition) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _kronecker(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
-    """coefficients.kronecker on canonical partitions of n, unchecked, memoised.
-
-    The key is the ordered triple: sorting it would hand the six orderings
-    one entry, and the check kronecker-symmetry compares six products
-    computed each on its own.
-    """
+    """coefficients.kronecker on canonical partitions of n, unchecked, memoised."""
     total = sum(map(mul, map(mul, class_sizes(n), _character_row(lam)),
                     map(mul, _character_row(mu), _character_row(nu))))
     q, r = divmod(total, factorial(n))

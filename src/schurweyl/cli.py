@@ -26,7 +26,13 @@ from fractions import Fraction
 from .characters import character_row
 from .coefficients import kronecker, littlewood_richardson
 from .errors import DEFAULT_SIZE_CAP, SizeCapError, size_cap
-from .partitions import conjugate, format_partition, parse_partition, partitions_of
+from .partitions import (
+    conjugate,
+    format_partition,
+    parse_cycle_type,
+    parse_partition,
+    partitions_of,
+)
 from .werner import (
     WernerWeights,
     character_polynomial,
@@ -178,7 +184,7 @@ def cmd_twirl(args) -> tuple[dict, str]:
 
 
 def cmd_dual_twirl(args) -> tuple[dict, str]:
-    return _weights(dual_twirl_cycle(parse_partition(args.alpha), args.d))
+    return _weights(dual_twirl_cycle(parse_cycle_type(args.alpha), args.d))
 
 
 def cmd_bound(args) -> tuple[dict, str]:
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("dual-twirl", help="symmetrised cycle operator weights")
-    p.add_argument("alpha", help="cycle type as a partition")
+    p.add_argument("alpha", help="cycle type: cycle lengths in any order")
     p.add_argument("d", type=int)
     p.set_defaults(func=cmd_dual_twirl)
 

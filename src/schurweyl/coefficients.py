@@ -10,9 +10,10 @@ so that one can cross-validate the other:
   chi^mu(alpha) chi^nu(alpha) / n!, zipping the three memoised character
   rows with the class sizes, and memoised on the ordered triple by
   characters._kronecker, which clear_character_cache empties;
-  validated against its permutation symmetries, a literal per-class sum
-  of mn_character values in the tests, and the dense tensor oracle
-  elsewhere.
+  validated against the LR coefficients by restriction to S_{n-k} x S_k
+  (sum_{j<=k} g_{lambda mu (n-j,j)} = sum c^lambda_{ab} c^mu_{ab}, the
+  check kronecker-restriction), a literal per-class sum of mn_character
+  values in the tests, and the dense tensor oracle elsewhere.
 * f^{lambda/mu}: Aitken's determinant, cross-checked by the brute-force
   standard-tableau count partitions.skew_standard_count.  No production
   path consumes dim_skew.  The subsystem trace's shifted Schur values

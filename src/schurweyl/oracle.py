@@ -364,8 +364,9 @@ def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
     view = m.mat.reshape((p, q) * 2 * n)
     for k in range(n):
         view = view.diagonal(axis1=k + 1, axis2=2 * n + 1)
-    out = view.sum(axis=tuple(range(2 * n, 3 * n))).reshape(p**n, p**n)
-    return DenseOperator(out, m.scale, n, p)
+    # asarray: at n = 0 the view is 0-d and its sum a scalar
+    out = np.asarray(view.sum(axis=tuple(range(2 * n, 3 * n))), m.mat.dtype)
+    return DenseOperator(out.reshape(p**n, p**n), m.scale, n, p)
 
 
 def symmetric_average(m: DenseOperator) -> DenseOperator:
@@ -381,7 +382,7 @@ def symmetric_average(m: DenseOperator) -> DenseOperator:
     n, d, dim = m.n, m.base, m.dim
     w, digits = _digits(d, n)
     labels = np.empty((dim, dim), dtype=np.int64)
-    step = max(1, _SCATTER_CELLS // (dim * n))
+    step = max(1, _SCATTER_CELLS // (dim * max(n, 1)))  # n = 0: one cell, no digits
     for start in range(0, dim, step):
         pairs = np.sort(digits[start:start + step, None, :] * d + digits, axis=-1)
         labels[start:start + step] = pairs @ (w * w)  # base d^2 numeral of the sorted pairs

@@ -311,6 +311,15 @@ def normalized(lam: Partition) -> tuple[Fraction, ...]:
 
 def parse_partition(text: str) -> Partition:
     """Parse the JSON-array syntax used on the command line, e.g. "[3,2,1]"."""
+    return as_partition(_json_array(text))
+
+
+def parse_cycle_type(text: str) -> Partition:
+    """parse_partition for a cycle type: the lengths may come in any order."""
+    return as_cycle_type(_json_array(text))
+
+
+def _json_array(text: str) -> list:
     import json
 
     try:
@@ -319,7 +328,7 @@ def parse_partition(text: str) -> Partition:
         raise ValueError(f"not a partition: {text!r}") from exc
     if not isinstance(data, list):
         raise ValueError(f"not a partition: {text!r}")
-    return as_partition(data)
+    return data
 
 
 def format_partition(lam: Partition) -> str:

@@ -12,7 +12,7 @@ call, so timing a `check_*` binding times its work.
 
 The decorator also registers the check: its report name is the function
 name without `check_`, underscores turned into dashes, so
-`check_kronecker_symmetry` reports as "kronecker-symmetry" and a report
+`check_kronecker_restriction` reports as "kronecker-restriction" and a report
 name is written nowhere else.  There are three registries, each a dict from
 report name to check in definition order, which is run order: FORMULAS
 (pure weight calculus), BOUNDS (the distance bounds) and ORACLE (everything
@@ -36,6 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, lcm
+from operator import mul
 
 import numpy as np
 
@@ -164,15 +165,18 @@ def check_lr_two_paths(*, seed: int) -> Cases:
 
 
 @_check(FORMULAS)
-def check_kronecker_symmetry(*, seed: int) -> Cases:
+def check_kronecker_restriction(*, seed: int) -> Cases:
+    """<chi^lam chi^mu, 1> on S_{n-k} x S_k two ways: Young's rule gives
+    sum_{j<=k} g_{lam mu (n-j,j)}, LR restriction sum_ab c^lam_ab c^mu_ab."""
     for n in range(1, 7):
         parts = partitions_of(n)
-        for lam in parts:
-            for mu in parts:
-                for nu in parts:
-                    base = kronecker(lam, mu, nu)
-                    for a, b, c in permutations((lam, mu, nu)):
-                        yield ((lam, mu, nu), (a, b, c)), kronecker(a, b, c) == base
+        for k in range(n // 2 + 1):
+            pairs = [(a, b) for a in partitions_of(n - k) for b in partitions_of(k)]
+            lr = {lam: [littlewood_richardson(lam, a, b) for a, b in pairs] for lam in parts}
+            for lam in parts:
+                for mu in parts:
+                    young = sum(kronecker(lam, mu, (n - j, j)) for j in range(k + 1))
+                    yield (lam, mu, k), young == sum(map(mul, lr[lam], lr[mu]))
 
 
 @_check(FORMULAS)

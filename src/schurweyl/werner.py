@@ -20,6 +20,7 @@ from .errors import ConsistencyError
 from .partitions import (
     Partition,
     _size,
+    as_cycle_type,
     as_partition,
     class_sizes,
     contains,
@@ -278,7 +279,8 @@ def twirl_power(r: Spectrum, k: int) -> WernerWeights:
 
 
 def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
-    """The symmetrised cycle operator for cycle type alpha, as weights.
+    """The symmetrised cycle operator for cycle type alpha (cycle lengths in
+    any order, as for mn_character), as weights.
 
     weight(mu) = e^d_mu chi^mu(alpha) / d^n.  Generally not a state: weights
     can be negative.  The weights sum to d^(c(alpha) - n), the trace of the
@@ -286,7 +288,7 @@ def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
     fully mixed state.
     """
     d = _size(d, "d")
-    alpha = as_partition(alpha)
+    alpha = as_cycle_type(alpha)
     n = sum(alpha)
     return _weights_on(
         n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n),

@@ -85,6 +85,7 @@ def test_twirl_and_dual_twirl(capsys):
     assert printed_weights(out)[(2,)] == (7, 9)
     code, out = run_cli(capsys, "dual-twirl", "[2,1]", "3")
     assert "-1/27" in out and code == 0
+    assert run_cli(capsys, "dual-twirl", "[1,2]", "3") == (0, out)  # lengths in any order
 
 
 def test_bound_and_dof(capsys):

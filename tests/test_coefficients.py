@@ -125,8 +125,8 @@ def test_kronecker_equals_the_literal_class_sum():
 
 
 def test_kronecker_memo_keeps_each_ordering_apart():
-    # kronecker-symmetry compares orderings of a triple, so each ordering
-    # must be a product of its own, not a read of a shared entry
+    # the memo keys the ordered triple: each ordering is a product of its
+    # own, not a read of a shared entry
     clear_character_cache()
     a, b, c = (2, 1), (3,), (2, 1)
     assert kronecker(a, b, c) == kronecker(b, a, c) == 1

@@ -56,6 +56,15 @@ def test_permutation_operator_basics():
     assert identity_operator(0, 2).trace() == 1
 
 
+def test_measurements_take_the_n0_operator():
+    empty = identity_operator(0, 4)
+    assert symmetric_average(empty).same_as(empty)
+    traced = partial_trace_inner(empty, 2, 2)
+    assert (traced.n, traced.base) == (0, 2) and traced.same_as(identity_operator(0, 2))
+    assert schur_weyl_weights(empty) == {(): 1}
+    assert trace_norm(empty) == 1.0
+
+
 def test_permutation_operators_compose():
     for a in permutations(range(3)):
         for b in permutations(range(3)):

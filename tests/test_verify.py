@@ -51,6 +51,20 @@ def test_dual_trace_paths_catches_a_shifted_dual_trace(monkeypatch):
     assert 1 <= p <= 4 and 1 <= q <= 4
 
 
+def test_kronecker_restriction_catches_one_wrong_coefficient(monkeypatch):
+    # negative control: g + 1 on one triple with a two-row nu breaks Young's
+    # side at that (lam, mu) for every k that reaches nu
+    true_kronecker = verify.kronecker
+    monkeypatch.setattr(verify, "kronecker", lambda lam, mu, nu: true_kronecker(lam, mu, nu)
+                        + ((lam, mu, nu) == ((2, 1), (2, 1), (2, 1))))
+    rep = verify.check_kronecker_restriction(seed=0)
+    assert not rep["pass"] and rep["failures"] > 0 and rep["cases"] == 733
+    lam, mu, k = rep["counterexample"]
+    n = sum(lam)
+    assert 1 <= n <= 6 and lam in partitions_of(n) and mu in partitions_of(n)
+    assert 0 <= k <= n // 2
+
+
 def test_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         verify.run_suite("nonsense")

@@ -177,6 +177,8 @@ def test_dual_twirl_cycle_transposition_value():
     }
     assert w.total() == Fraction(1, 3)
     assert not w.is_state()
+    for alpha in ((1, 2), (2, 0, 1)):  # cycle lengths in any order
+        assert dual_twirl_cycle(alpha, 3) == w
 
 
 def test_dual_twirl_cycle_trace_identity():

@@ -4,7 +4,8 @@ Everything the weight calculus asserts algebraically is rebuilt here as a
 literal matrix and re-measured: permutation operators, duality-block
 projectors, single-irrep projectors from standard tableaux, both partial
 traces, the permutation average, the duality-block weights and the trace
-norm, the one float result (`trace_norm` is the only eigensolve).
+norm, the one float result (`_eigenvalues`, which `trace_norm` and
+`verify_general_dual` read, is the only eigensolve).
 
 Operators are stored as an integer matrix (numpy object dtype, so entries
 are unbounded Python ints) times one global Fraction.  Every operator this
@@ -240,7 +241,7 @@ def _represent(terms: Iterable[tuple[tuple[int, ...], int]], d: int, n: int,
 def _class_sum(units: dict[Partition, Fraction], d: int, n: int) -> DenseOperator:
     """The central element sum_mu units[mu] sum_pi chi^mu(pi) pi on (C^d)^(x n),
     exact (no units: zero).  The one place class rationals are formed, after the
-    cap check, over their lcm; `trace_norm` is the oracle's one float eigensolve."""
+    cap check, over their lcm; `_eigenvalues` is the oracle's one float eigensolve."""
     d = _check_cap(d, n)
     coeffs = [Fraction(0)] * len(partitions_of(n))
     for mu, u in units.items():
@@ -338,10 +339,11 @@ def young_projector(t: Tableau, d: int) -> DenseOperator:
 
 
 def partial_trace_subsystems(m: DenseOperator, keep: int) -> DenseOperator:
-    """Trace out the last n-keep factors; the total trace is preserved."""
-    keep = _size(keep, "keep")
+    """Trace out the last n-keep factors; the total trace is preserved.
+    keep = 0 is the full trace, a 1 x 1 operator."""
+    keep = _size(keep, "keep", 0)
     if keep > m.n:
-        raise ValueError(f"keep must be in 1..{m.n}")
+        raise ValueError(f"keep must be in 0..{m.n}")
     kept, traced = m.base**keep, m.base ** (m.n - keep)
     out = m.mat.reshape(kept, traced, kept, traced).trace(axis1=1, axis2=3)
     return DenseOperator(out, m.scale, keep, m.base)
@@ -393,11 +395,16 @@ def symmetric_average(m: DenseOperator) -> DenseOperator:
     return DenseOperator(sums[index].reshape(dim, dim), m.scale / factorial(n), n, d)
 
 
+def _eigenvalues(m: DenseOperator) -> np.ndarray:
+    """The float eigenvalues of a symmetric operator: the oracle's one eigensolve."""
+    return np.linalg.eigvalsh(m.mat.astype(np.float64) * float(m.scale))
+
+
 def trace_norm(m: DenseOperator) -> float:
-    """Sum of absolute eigenvalues: the oracle's one float eigensolve."""
+    """Sum of absolute eigenvalues, from `_eigenvalues`."""
     if not m.is_symmetric():
         raise ValueError("trace norm here expects a symmetric operator")
-    return float(np.abs(np.linalg.eigvalsh(m.mat.astype(np.float64) * float(m.scale))).sum())
+    return float(np.abs(_eigenvalues(m)).sum())
 
 
 def schur_weyl_weights(m: DenseOperator) -> dict[Partition, Fraction]:
@@ -496,8 +503,9 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     beta >= ((q-n+1)/q)^n.  With tr rho' = 1 these give
     rho' - I/p^n = (1 - beta)(sigma - I/p^n) for a state sigma, so the trace
     norm of rho' - I/p^n is at most 2(1 - beta), within the bound
-    2 - 2((q-n+1)/q)^n.  delta, that norm by `trace_norm` (the one float
-    eigensolve), is the one float in the report and takes no part in the verdict.
+    2 - 2((q-n+1)/q)^n.  delta, that norm as sum_i |lambda_i - 1/p^n| over
+    the eigenvalues of rho' from `_eigenvalues` (the one float eigensolve),
+    is the one float in the report and takes no part in the verdict.
     """
     p, q = _size(p, "p and q", plural=True), _size(q, "p and q", plural=True)
     shape = tableau_shape(t)
@@ -505,7 +513,7 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     bound = definetti_bound_dual(n, q)  # refuses q < n before any group-algebra work
     traced = _traced_tableau_state(t, p, q)
     mixed = Fraction(1, p**n)  # the eigenvalue of the fully mixed state
-    delta = trace_norm(traced - identity_operator(n, p) * mixed)
+    delta = float(np.abs(_eigenvalues(traced) - float(mixed)).sum())
     beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, dim_unitary(shape, p * q))
     psd = _psd_above(traced, beta * mixed)
     return {

@@ -18,6 +18,11 @@ only the numerator is eliminated.  The normalization is pinned by the
 exact identity
 f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test suite
 enforces rather than assumes.
+
+Both values are Fraction(numerator, denominator) over private integer
+helpers (_integer_spectrum, _complete_homogeneous and _jacobi_trudi;
+_falling_table and _shifted_det), which the Werner maps in werner.py call
+directly to build a whole weight vector over one denominator.
 """
 
 from __future__ import annotations
@@ -122,25 +127,65 @@ def schur_eval_tableau(mu: Partition, r: Spectrum):
     return shapes.get((), 0)
 
 
+def _integer_spectrum(r: Spectrum) -> tuple[list[int], int]:
+    """The entries of r read exactly as Fraction(x), scaled to integers:
+    (D r, D) with D the lcm of their denominators (1 for no entries)."""
+    vals = [Fraction(x) for x in r]
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
+
+
+def _complete_homogeneous(xs: list[int], top: int) -> list[int]:
+    """h_0 .. h_top at the integers xs, by h_k += x h_{k-1}, one entry x at a time."""
+    h = [1] + [0] * top
+    for x in xs:
+        for k in range(1, top + 1):
+            h[k] += x * h[k - 1]
+    return h
+
+
+def _jacobi_trudi(h: list[int], mu: Partition) -> int:
+    """det[h_{mu_i - i + j}], h listing the complete homogeneous values up to
+    at least mu_1 + rows(mu) - 1: s_mu at the integers h was built from."""
+    size = len(mu)
+    return _det([[h[p] if (p := mu[i] - i + j) >= 0 else 0 for j in range(size)]
+                 for i in range(size)])
+
+
 def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
     """Schur polynomial s_mu evaluated at the spectrum r, exact.
 
     Jacobi-Trudi on integers: with D the lcm of the entries' denominators,
-    s_mu(r) = det[h_{mu_i - i + j}(D r)] / D^|mu|, where the complete
-    homogeneous values h_k come from h_k += x h_{k-1}, one entry x at a
-    time.  Zero when mu has more rows than r has entries.
+    s_mu(r) = det[h_{mu_i - i + j}(D r)] / D^|mu|.  Zero when mu has more
+    rows than r has entries.
     """
     mu = as_partition(mu)
-    vals = [Fraction(x) for x in r]
-    scale = lcm(*(v.denominator for v in vals))
-    size = len(mu)
-    h = [1] + [0] * (mu[0] + size - 1 if size else 0)
-    for v in vals:
-        x = v.numerator * (scale // v.denominator)
-        for k in range(1, len(h)):
-            h[k] += x * h[k - 1]
-    jt = [[h[p] if (p := mu[i] - i + j) >= 0 else 0 for j in range(size)] for i in range(size)]
-    return Fraction(_det(jt), scale ** sum(mu))
+    xs, scale = _integer_spectrum(r)
+    h = _complete_homogeneous(xs, mu[0] + len(mu) - 1 if mu else 0)
+    return Fraction(_jacobi_trudi(h, mu), scale ** sum(mu))
+
+
+def _falling_table(lam: Partition, d: int, top: int) -> tuple[list[list[int]], int]:
+    """For a_i = lam_i + d - 1 - i, i < d: the rows [a_i falling t for
+    t = 0..top] and the Vandermonde product prod_{i<j} (a_i - a_j), positive
+    because the a_i strictly decrease.  Unchecked: lam canonical, d >= rows(lam).
+    """
+    table = []
+    a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
+    for ai in a:
+        falling = [1]  # falling[t] = ai (ai - 1) ... (ai - t + 1)
+        for t in range(top):
+            falling.append(falling[-1] * (ai - t))
+        table.append(falling)
+    return table, prod(ai - aj for i, ai in enumerate(a) for aj in a[i + 1:])
+
+
+def _shifted_det(table: list[list[int]], mu: Partition) -> int:
+    """det[(a_i) falling (mu_j + d - 1 - j)] over a _falling_table with d rows
+    and top >= mu_1 + d - 1: the numerator of s*_mu(lam)."""
+    d = len(table)
+    m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
+    return _det([[row[mj] for mj in m] for row in table])
 
 
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
@@ -151,13 +196,5 @@ def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """
     mu, lam = as_partition(mu), as_partition(lam)
     d = _size(d, "d", max(rows(mu), rows(lam)))
-    a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
-    m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
-    num = []
-    for ai in a:
-        falling = [1]  # falling[k] = ai (ai - 1) ... (ai - k + 1)
-        for k in range(m[0] if m else 0):
-            falling.append(falling[-1] * (ai - k))
-        num.append([falling[mj] for mj in m])
-    den = prod(ai - aj for i, ai in enumerate(a) for aj in a[i + 1:])
-    return Fraction(_det(num), den)
+    table, vandermonde = _falling_table(lam, d, (mu[0] if mu else 0) + d - 1)
+    return Fraction(_shifted_det(table, mu), vandermonde)

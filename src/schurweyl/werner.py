@@ -5,29 +5,49 @@ combination of the normalized projectors rho_mu onto the duality blocks
 labelled by mu in Par(n, d).  Because those projectors have orthogonal
 supports, the whole calculus happens on the weight vectors: partial traces,
 twirls, trace distances and the de Finetti style bounds all become exact
-rational arithmetic over Par(n, d).
+arithmetic over Par(n, d).
+
+A vector is stored as integer numerators over one positive common
+denominator, and WernerWeights.weights derives the reduced Fractions.  Each
+map checks its arguments once, then builds its numerators from the
+unchecked memoised internals of partitions, characters and symfunc, over
+its own denominator:
+* dual_trace: n! e^{pq}_lam;
+* dual_twirl_cycle and fully_mixed: d^n;
+* trace_out_sym: the Vandermonde product prod_{i<j} (a_i - a_j) of lam,
+  a_i = lam_i + d - 1 - i, times (n falling k);
+* twirl_power: D^k, D the lcm of the spectrum's denominators.
+The sum check (ConsistencyError), total, is_state, equality and
+trace_distance are then integer arithmetic, with no gcd per weight.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, perm
 from operator import mul
 
-from .characters import character_row, dim_sym, dim_unitary, mn_character
+from .characters import _beta_set, _character_row, _dim_sym, _dim_unitary, _mn
 from .errors import ConsistencyError
 from .partitions import (
     Partition,
+    _partitions,
     _size,
     as_cycle_type,
     as_partition,
     class_sizes,
     contains,
-    partitions_of,
     rows,
 )
-from .symfunc import Spectrum, falling_factorial, schur_eval, shifted_schur_eval
+from .symfunc import (
+    Spectrum,
+    _complete_homogeneous,
+    _falling_table,
+    _integer_spectrum,
+    _jacobi_trudi,
+    _shifted_det,
+)
 
 
 class IntPolynomial:
@@ -81,24 +101,32 @@ class WernerWeights:
     """A weight vector over Par(n, d) in the normalized-projector basis.
 
     For states all weights are non-negative and sum to 1; symmetrised cycle
-    operators reuse the same container with is_state() False.  Immutable
-    attributes; equal vectors agree on every weight, and the hash is that
-    of (n, d).  n >= 0 and d >= 1 are read as plain ints and keys are stored
-    as canonical partitions; anything else raises ValueError.
+    operators reuse the same container with is_state() False.  Stored as
+    integer numerators over one positive common denominator, so sums,
+    comparisons and distances are integer arithmetic; `weights` derives the
+    reduced Fractions.  Immutable attributes; equal vectors agree on every
+    weight, and the hash is that of (n, d).  n >= 0 and d >= 1 are read as
+    plain ints, keys are stored as canonical partitions of Par(n, d) and
+    weights must be ints or Fractions; anything else raises ValueError.
     """
 
-    __slots__ = ("n", "d", "weights")
+    __slots__ = ("n", "d", "_nums", "_den")
 
     def __init__(self, n: int, d: int, weights: dict[Partition, Fraction]):
         n, d = _size(n, "n", 0), _size(d, "d")
-        canonical = {as_partition(mu): w for mu, w in weights.items()}
+        canonical = {}
+        for mu, w in weights.items():
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise ValueError(f"weights must be ints or Fractions, got {w!r} at {mu}")
+            canonical[as_partition(mu)] = Fraction(w)
         if len(canonical) < len(weights):
             raise ValueError("two keys name the same partition")
         for mu in canonical:
             if rows(mu) > d or sum(mu) != n:
                 raise ValueError(f"{mu} is not in Par({n},{d})")
-        for name, value in (("n", n), ("d", d), ("weights", canonical)):
-            object.__setattr__(self, name, value)
+        den = lcm(*(w.denominator for w in canonical.values()))
+        nums = {mu: w.numerator * (den // w.denominator) for mu, w in canonical.items()}
+        _fill(self, n, d, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -112,43 +140,59 @@ class WernerWeights:
     def __hash__(self) -> int:
         return hash((self.n, self.d))
 
+    @property
+    def weights(self) -> dict[Partition, Fraction]:
+        """A fresh dict of the weights as reduced Fractions, in key order."""
+        den = self._den
+        return {mu: Fraction(a, den) for mu, a in self._nums.items()}
+
     def weight(self, mu: Partition) -> Fraction:
-        return self.weights.get(as_partition(mu), Fraction(0))
+        return Fraction(self._nums.get(as_partition(mu), 0), self._den)
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self._nums.values()), self._den)
 
     def is_state(self) -> bool:
-        return all(w >= 0 for w in self.weights.values()) and self.total() == 1
+        return min(self._nums.values(), default=0) >= 0 and sum(self._nums.values()) == self._den
 
     def as_json(self) -> dict:
-        entries = []
-        for mu, w in self.weights.items():
-            f = Fraction(w)
-            entries.append(
-                {"partition": list(mu), "num": f.numerator, "den": f.denominator}
-            )
+        entries = [{"partition": list(mu), "num": w.numerator, "den": w.denominator}
+                   for mu, w in self.weights.items()]
         return {"n": self.n, "d": self.d, "weights": entries}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WernerWeights):
             return NotImplemented
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        keys = set(self.weights) | set(other.weights)
-        return all(self.weight(k) == other.weight(k) for k in keys)
+        return (self.n, self.d) == (other.n, other.d) and not any(_difference(self, other)[0])
 
 
-def _weights_on(n: int, d: int, value, total=1,
-                error: str = "weights do not sum to 1") -> WernerWeights:
-    """Build a weight vector over all of Par(n, d) in enumeration order.
+def _fill(out: WernerWeights, n: int, d: int, nums: dict[Partition, int], den: int) -> None:
+    for name, value in (("n", n), ("d", d), ("_nums", nums), ("_den", den)):
+        object.__setattr__(out, name, value)
 
-    Raises ConsistencyError(error) unless the weights sum to total.
+
+def _vector(n: int, d: int, nums: dict[Partition, int], den: int, total: int | None = None,
+            error: str = "weights do not sum to 1") -> WernerWeights:
+    """A weight vector from numerators over den > 0, keyed by Par(n, d) in
+    enumeration order, with no key check.
+
+    Raises ConsistencyError(error) unless the numerators sum to total
+    (den by default: the weights sum to 1).
     """
-    out = WernerWeights(n, d, {mu: value(mu) for mu in partitions_of(n, d)})
-    if out.total() != total:
+    if sum(nums.values()) != (den if total is None else total):
         raise ConsistencyError(error)
+    out = object.__new__(WernerWeights)
+    _fill(out, n, d, nums, den)
     return out
+
+
+def _difference(a: WernerWeights, b: WernerWeights) -> tuple[list[int], int]:
+    """The numerators of a - b over the denominator a_den * b_den, on every key
+    of either vector."""
+    if (a.n, a.d) != (b.n, b.d):
+        raise ValueError("weight vectors live on different (n, d)")
+    an, bn, ad, bd = a._nums, b._nums, a._den, b._den
+    return [an.get(k, 0) * bd - bn.get(k, 0) * ad for k in an.keys() | bn.keys()], ad * bd
 
 
 def character_polynomial(lam: Partition, mu: Partition) -> IntPolynomial:
@@ -163,8 +207,8 @@ def character_polynomial(lam: Partition, mu: Partition) -> IntPolynomial:
     if sum(mu) != n:
         raise ValueError("character polynomial needs equal box counts")
     coeffs = [0] * (n + 1)
-    for alpha, h, a, b in zip(partitions_of(n), class_sizes(n),
-                              character_row(lam), character_row(mu)):
+    for alpha, h, a, b in zip(_partitions(n, n), class_sizes(n),
+                              _character_row(lam), _character_row(mu)):
         coeffs[rows(alpha)] += h * a * b
     return IntPolynomial(coeffs)
 
@@ -225,7 +269,10 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
-    no integer of the size of n!.  coefficients.dim_skew (Aitken's
+    no integer of the size of n!.  Every s*_mu(lam) has the Vandermonde
+    denominator prod_{i<j} (a_i - a_j) of lam, so the numerators share the
+    denominator Vandermonde * (n falling k), and one table of falling
+    factorials of lam serves every mu.  coefficients.dim_skew (Aitken's
     determinant) eliminates the same integer matrix when d is the row count
     of lam and d <= lam_1, so the large-size test against it checks the
     normaliser only.  The check inner-sum-subsystem ties the shifted form
@@ -239,16 +286,18 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     k = _size(k, "k")
     if k > n:
         raise ValueError("k must be between 1 and n")
-    scale = falling_factorial(n, k)
-    return _weights_on(k, d, lambda mu: dim_sym(mu) * shifted_schur_eval(mu, lam, d) / scale)
+    table, vandermonde = _falling_table(lam, d, k + d - 1)
+    return _vector(k, d, {mu: _dim_sym(mu) * _shifted_det(table, mu) for mu in _partitions(k, d)},
+                   vandermonde * perm(n, k))
 
 
 def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     """Weights after tracing out the q-dimensional half of every subsystem.
 
     a_mu = e^p_mu * sum_alpha h_alpha q^c(alpha) chi^lam(alpha) chi^mu(alpha)
-    / (n! e^{pq}_lam) over mu in Par(n, p): one row product per mu.  The
-    check dual-trace-paths holds it to the Kronecker sum
+    / (n! e^{pq}_lam) over mu in Par(n, p): one row product per mu, each an
+    integer numerator over the common n! e^{pq}_lam.  The check
+    dual-trace-paths holds it to the Kronecker sum
     a_mu = e^p_mu sum_nu g_{lam mu nu} e^q_nu / e^{pq}_lam, which goes
     through Kronecker coefficients and the hook-content e^q, not q^c(alpha).
     """
@@ -258,42 +307,45 @@ def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
     if rows(lam) > p * q:
         raise ValueError(f"{lam} has more than {p * q} rows")
     row = [h * q ** rows(alpha) * chi
-           for alpha, h, chi in zip(partitions_of(n), class_sizes(n), character_row(lam))]
-    denom = factorial(n) * dim_unitary(lam, p * q)
-    return _weights_on(n, p, lambda mu: Fraction(
-        dim_unitary(mu, p) * sum(map(mul, row, character_row(mu))), denom))
+           for alpha, h, chi in zip(_partitions(n, n), class_sizes(n), _character_row(lam))]
+    return _vector(n, p, {mu: _dim_unitary(mu, p) * sum(map(mul, row, _character_row(mu)))
+                          for mu in _partitions(n, p)},
+                   factorial(n) * _dim_unitary(lam, p * q))
 
 
 def twirl_power(r: Spectrum, k: int) -> WernerWeights:
     """Weights of the unitarily twirled k-th power of a state with spectrum r.
 
-    Entries are read exactly as Fraction(x) and must sum to exactly 1.
+    Entries are read exactly as Fraction(x) and must sum to exactly 1.  With
+    D the lcm of their denominators, a_mu = f_mu s_mu(D r) / D^k: Jacobi-Trudi
+    determinants over one table of complete homogeneous values of D r.
     """
     k = _size(k, "k")
-    vals = sorted((Fraction(x) for x in r), reverse=True)
-    if any(v < 0 for v in vals):
+    xs, scale = _integer_spectrum(r)
+    if any(x < 0 for x in xs):
         raise ValueError("spectrum entries must be non-negative")
-    if sum(vals) != 1:
+    if sum(xs) != scale:
         raise ValueError("spectrum must sum to 1")
-    return _weights_on(k, len(vals), lambda mu: dim_sym(mu) * schur_eval(mu, vals))
+    h = _complete_homogeneous(xs, k + len(xs) - 1)
+    return _vector(k, len(xs), {mu: _dim_sym(mu) * _jacobi_trudi(h, mu)
+                                for mu in _partitions(k, len(xs))}, scale**k)
 
 
 def dual_twirl_cycle(alpha: Partition, d: int) -> WernerWeights:
     """The symmetrised cycle operator for cycle type alpha (cycle lengths in
     any order, as for mn_character), as weights.
 
-    weight(mu) = e^d_mu chi^mu(alpha) / d^n.  Generally not a state: weights
-    can be negative.  The weights sum to d^(c(alpha) - n), the trace of the
-    averaged, normalized permutation operator; for alpha = (1^n) this is the
-    fully mixed state.
+    weight(mu) = e^d_mu chi^mu(alpha) / d^n, numerators over d^n.  Generally
+    not a state: weights can be negative.  The weights sum to d^(c(alpha) - n),
+    the trace of the averaged, normalized permutation operator; for
+    alpha = (1^n) this is the fully mixed state.
     """
     d = _size(d, "d")
     alpha = as_cycle_type(alpha)
     n = sum(alpha)
-    return _weights_on(
-        n, d, lambda mu: Fraction(dim_unitary(mu, d) * mn_character(mu, alpha), d**n),
-        Fraction(d ** rows(alpha), d**n), "cycle weights do not sum to d^(c - n)",
-    )
+    return _vector(n, d, {mu: _dim_unitary(mu, d) * _mn(_beta_set(mu), alpha)
+                          for mu in _partitions(n, d)},
+                   d**n, d ** rows(alpha), "cycle weights do not sum to d^(c - n)")
 
 
 def fully_mixed(n: int, d: int) -> WernerWeights:
@@ -307,10 +359,8 @@ def trace_distance(a: WernerWeights, b: WernerWeights) -> Fraction:
     Valid because the basis projectors have orthogonal supports; orthogonal
     states sit at distance 2 in this convention.
     """
-    if (a.n, a.d) != (b.n, b.d):
-        raise ValueError("weight vectors live on different (n, d)")
-    keys = set(a.weights) | set(b.weights)
-    return sum((abs(a.weight(k) - b.weight(k)) for k in keys), Fraction(0))
+    diff, den = _difference(a, b)
+    return Fraction(sum(map(abs, diff)), den)
 
 
 def definetti_bound_sym(k: int, lam_min: int) -> Fraction:
@@ -340,12 +390,11 @@ def degrees_of_freedom(n: int, d: int, kind: str) -> int:
     werner: sum of f_lam^2 - 1; symmetric: sum of (e^d_lam)^2 - 1, both over
     Par(n, d).  n and d must be integers, as for partitions_of.
     """
-    d = _size(d, "d")
-    parts = partitions_of(n, d)
+    n, d = _size(n, "n", 0), _size(d, "d")
     if kind == "werner":
-        return sum(dim_sym(lam) ** 2 for lam in parts) - 1
+        return sum(_dim_sym(lam) ** 2 for lam in _partitions(n, d)) - 1
     if kind == "symmetric":
-        return sum(dim_unitary(lam, d) ** 2 for lam in parts) - 1
+        return sum(_dim_unitary(lam, d) ** 2 for lam in _partitions(n, d)) - 1
     raise ValueError(f"kind must be 'werner' or 'symmetric', not {kind!r}")
 
 

@@ -63,6 +63,12 @@ def test_measurements_take_the_n0_operator():
     assert (traced.n, traced.base) == (0, 2) and traced.same_as(identity_operator(0, 2))
     assert schur_weyl_weights(empty) == {(): 1}
     assert trace_norm(empty) == 1.0
+    full = partial_trace_subsystems(empty, 0)  # keep = 0 is the full trace
+    assert (full.n, full.base) == (0, 4) and full.same_as(empty)
+    with pytest.raises(ValueError, match=r"keep must be in 0\.\.0"):
+        partial_trace_subsystems(empty, 1)
+    scalar = partial_trace_subsystems(identity_operator(2, 3), 0)
+    assert (scalar.n, scalar.base) == (0, 3) and scalar.trace() == 9
 
 
 def test_permutation_operators_compose():

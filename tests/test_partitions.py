@@ -306,7 +306,7 @@ SIZE_SLOTS = {
     "identity_operator d": ("d", 2, 0, lambda x: identity_operator(2, x)),
     "young_projector d": ("d", 2, 0, lambda x: young_projector(first_standard_tableau((2, 1)), x)),
     "partial_trace_subsystems keep": (
-        "keep", 1, 0, lambda x: partial_trace_subsystems(identity_operator(2, 2), x)),
+        "keep", 1, -1, lambda x: partial_trace_subsystems(identity_operator(2, 2), x)),
     "partial_trace_inner p": ("p", 2, 0, lambda x: partial_trace_inner(identity_operator(2, 4), x, 2)),
     "partial_trace_inner q": ("q", 2, 0, lambda x: partial_trace_inner(identity_operator(2, 4), 2, x)),
     "verify_general_dual p": (

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -267,3 +268,19 @@ def test_werner_weights_validation():
         with pytest.raises(ValueError):
             WernerWeights(*bad)
     assert WernerWeights(3, 2, {(2, 1, 0): Fraction(1)}).weights == {(2, 1): Fraction(1)}
+    for inexact in (1.0, True, "1", Decimal(1)):  # weights are exact: ints or Fractions
+        with pytest.raises(ValueError, match="weights must be ints or Fractions"):
+            WernerWeights(1, 2, {(1,): inexact})
+    # one vector over the denominators 4, 6 and 12, and an int weight
+    given = {(4,): Fraction(1, 4), (3, 1): Fraction(1, 6), (2, 2): 0, (2, 1, 1): Fraction(7, 12)}
+    other = {(4,): Fraction(3, 2), (2, 1, 1): -1}
+    w, v = WernerWeights(4, 3, given), WernerWeights(4, 3, other)
+    assert w.weights == given and type(w.weight((2, 2))) is Fraction
+    assert w.total() == sum(given.values(), Fraction(0)) == 1 and w.is_state()
+    assert v.total() == sum(other.values(), Fraction(0)) and not v.is_state()
+    assert w == WernerWeights(4, 3, {(4,): Fraction(3, 12), (3, 1): Fraction(2, 12),
+                                     (2, 1, 1): Fraction(7, 12)})
+    assert w != v and w != WernerWeights(4, 4, given)
+    want = sum((abs(given.get(k, 0) - other.get(k, 0)) for k in set(given) | set(other)),
+               Fraction(0))
+    assert trace_distance(w, v) == trace_distance(v, w) == want == 3

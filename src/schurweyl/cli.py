@@ -6,7 +6,8 @@ the JSON document and text the plain rendering, which csv prints as well.
 Only `main` reads --format: json prints data compactly, for every command.
 Exit codes: 0 success, 1 verification failure (data carries "pass": false,
 which only a verify report does), 2 usage error, 3 resource limit (size
-cap or recursion depth).  `verify` reports one {check, lhs, rhs, pass,
+cap, recursion depth, or a number longer than the interpreter's int-to-str
+digit limit, 4300 by default).  `verify` reports one {check, lhs, rhs, pass,
 cases, failures, counterexample} entry per check.  A --config file's
 values become the parser's defaults, so a flag still wins, and every
 command runs inside `size_cap(--size-cap)`, so a cap below the floor is
@@ -353,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input too deep (recursion limit reached)", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:  # a bad --config or --out file is a usage error
+        if "integer string conversion" in str(exc):  # the interpreter's digit limit
+            print(f"error: a number has more than {sys.get_int_max_str_digits()} digits, the"
+                  " limit for integer string conversion", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

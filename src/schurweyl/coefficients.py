@@ -18,7 +18,9 @@ so that one can cross-validate the other:
   standard-tableau count partitions.skew_standard_count.  No production
   path consumes dim_skew.  The subsystem trace's shifted Schur values
   eliminate the same integer matrix, so comparing the two checks only the
-  normaliser; dim_skew's docstring says what pins the determinant.
+  normaliser; dim_skew's docstring says what pins the determinant.  Both
+  size it by the one side rule symfunc._smaller_side: min(rows, columns)
+  of lambda, never a caller's local dimension.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from .partitions import (
     _size,
     as_partition,
     class_sizes,
-    conjugate,
     contains,
     partitions_of,
 )
-from .symfunc import _det, falling_factorial
+from .symfunc import _det, _smaller_side, falling_factorial
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -183,11 +184,12 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     Row i is scaled by a_i! with a_i = lam_i - i + l - 1 (l rows, mu
     zero-padded to l), which turns every entry into the integer falling
     factorial a_i (a_i - 1) ... (a_i - b_j + 1) with b_j = mu_j - j + l - 1.
-    A diagram with more rows than columns is conjugated first, which
-    leaves the count unchanged and keeps the matrix side at most
-    sqrt(|lam|).  Exact for diagrams with thousands of boxes; 0 unless
-    inner fits inside outer.  For l <= lam_1, shifted_schur_eval(mu, lam, l)
-    (werner.trace_out_sym) hands this very matrix to _det and differs only
+    A diagram with more rows than columns is conjugated first, by the side
+    rule symfunc._smaller_side, which leaves the count unchanged and keeps
+    the matrix side at min(rows, columns) <= sqrt(|lam|).  Exact for
+    diagrams with thousands of boxes; 0 unless inner fits inside outer.
+    shifted_schur_eval(mu, lam, d) (werner.trace_out_sym) follows the same
+    rule, so for every d it hands this very matrix to _det and differs only
     in the normaliser, prod_{i<j} (a_i - a_j) for N!/prod a_i!, so comparing
     the two checks the normalisers only.  The determinant is pinned by the
     standard-tableau count partitions.skew_standard_count on small diagrams
@@ -197,9 +199,7 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
         return 0
-    if outer and len(outer) > outer[0]:
-        # f^{lam/mu} = f^{lam'/mu'}: keep the matrix side at min(rows, columns)
-        outer, inner = conjugate(outer), conjugate(inner)
+    outer, (inner,) = _smaller_side(outer, (inner,))
     size = len(outer)
     a = [outer[i] - i + size - 1 for i in range(size)]
     b = [(inner[j] if j < len(inner) else 0) - j + size - 1 for j in range(size)]

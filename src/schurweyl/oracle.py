@@ -95,9 +95,20 @@ def _imatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class DenseOperator:
-    """value = scale * mat, on n factors of dimension base each."""
+    """value = scale * mat, on n factors of dimension base each.
+
+    mat must hold integers: an integer dtype is converted to object dtype
+    (Python ints, so no sum or product wraps), and any other dtype but
+    object raises ValueError, since a float entry would be truncated.
+    Object entries are not checked one by one; every construction here
+    builds them from Python ints.
+    """
 
     def __init__(self, mat: np.ndarray, scale: Fraction, n: int, base: int):
+        if mat.dtype.kind in "iu":
+            mat = mat.astype(object)
+        elif mat.dtype != object:
+            raise ValueError(f"matrix dtype must be integer or object, not {mat.dtype}")
         self.mat = mat
         self.scale = Fraction(scale)
         self.n = n

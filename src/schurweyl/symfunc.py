@@ -8,21 +8,30 @@ over horizontal strips with no determinant, is kept only as the
 independent oracle of schur_eval.
 
 Shifted Schur values use the ratio of factorial determinants
-det[(a_i) falling (mu_j + d - 1 - j)] / det[(a_i) falling (d - 1 - j)] with
-a_i = lam_i + d - 1 - i (Okounkov-Olshanski, Shifted Schur functions,
-q-alg/9605042).  Each row of the numerator is one running product
-a_i (a_i - 1) ... up to the longest factorial.  Falling factorials are a
-monic basis, so column operations reduce the denominator to the
-Vandermonde determinant det[a_i^(d-1-j)] = prod_{i<j} (a_i - a_j), and
+det[(a_i) falling (mu_j + l - 1 - j)] / det[(a_i) falling (l - 1 - j)] with
+a_i = lam_i + l - 1 - i over the l rows of lam (Okounkov-Olshanski, Shifted
+Schur functions, q-alg/9605042).  Each row of the numerator is one running
+product a_i (a_i - 1) ... up to the longest factorial.  Falling factorials
+are a monic basis, so column operations reduce the denominator to the
+Vandermonde determinant det[a_i^(l-1-j)] = prod_{i<j} (a_i - a_j), and
 only the numerator is eliminated.  The normalization is pinned by the
 exact identity
 f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test suite
 enforces rather than assumes.
 
+One side rule sizes every factorial determinant, here, in
+werner.trace_out_sym and in coefficients.dim_skew: _smaller_side conjugates
+lam and mu when lam has more rows than columns, which leaves
+f^{lam/mu}, f^lam and so s*_mu(lam) unchanged, so each determinant has side
+min(rows, columns) of lam.  A mu with more rows than that does not fit
+inside lam and gives 0.  A local dimension d only labels the support
+Par(k, d) and is range-checked; it never sizes a table.
+
 Both values are Fraction(numerator, denominator) over private integer
 helpers (_integer_spectrum, _complete_homogeneous and _jacobi_trudi;
-_falling_table and _shifted_det), which the Werner maps in werner.py call
-directly to build a whole weight vector over one denominator.
+_smaller_side, _falling_table and _shifted_det), which the Werner maps in
+werner.py call directly to build a whole weight vector over one
+denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from .partitions import Partition, _size, as_partition, rows
+from .partitions import Partition, _conjugate, _size, as_partition, rows
 
 Spectrum = Sequence
 
@@ -165,13 +174,25 @@ def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
     return Fraction(_jacobi_trudi(h, mu), scale ** sum(mu))
 
 
-def _falling_table(lam: Partition, d: int, top: int) -> tuple[list[list[int]], int]:
-    """For a_i = lam_i + d - 1 - i, i < d: the rows [a_i falling t for
-    t = 0..top] and the Vandermonde product prod_{i<j} (a_i - a_j), positive
-    because the a_i strictly decrease.  Unchecked: lam canonical, d >= rows(lam).
+def _smaller_side(lam: Partition,
+                  mus: Sequence[Partition]) -> tuple[Partition, Sequence[Partition]]:
+    """(lam, mus), lam and every mu conjugated when lam has more rows than
+    columns, so that a factorial determinant of lam has side
+    min(rows, columns): the one side rule of the module docstring.
+    Unchecked: canonical partitions.
     """
-    table = []
-    a = [lam[i] + d - 1 - i if i < len(lam) else d - 1 - i for i in range(d)]
+    if lam and len(lam) > lam[0]:
+        return _conjugate(lam), [_conjugate(mu) for mu in mus]
+    return lam, mus
+
+
+def _falling_table(lam: Partition, top: int) -> tuple[list[list[int]], int]:
+    """For a_i = lam_i + l - 1 - i, l = rows(lam): the rows [a_i falling t
+    for t = 0..top] and the Vandermonde product prod_{i<j} (a_i - a_j),
+    positive because the a_i strictly decrease.  Unchecked: lam canonical.
+    """
+    size, table = len(lam), []
+    a = [part + size - 1 - i for i, part in enumerate(lam)]
     for ai in a:
         falling = [1]  # falling[t] = ai (ai - 1) ... (ai - t + 1)
         for t in range(top):
@@ -181,20 +202,26 @@ def _falling_table(lam: Partition, d: int, top: int) -> tuple[list[list[int]], i
 
 
 def _shifted_det(table: list[list[int]], mu: Partition) -> int:
-    """det[(a_i) falling (mu_j + d - 1 - j)] over a _falling_table with d rows
-    and top >= mu_1 + d - 1: the numerator of s*_mu(lam)."""
-    d = len(table)
-    m = [mu[j] + d - 1 - j if j < len(mu) else d - 1 - j for j in range(d)]
+    """det[(a_i) falling (mu_j + l - 1 - j)] over a _falling_table with l rows
+    and top >= mu_1 + l - 1: the numerator of s*_mu(lam).  0 when mu has
+    more than l rows, for then mu does not fit inside lam."""
+    size = len(table)
+    if len(mu) > size:
+        return 0
+    m = [mu[j] + size - 1 - j if j < len(mu) else size - 1 - j for j in range(size)]
     return _det([[row[mj] for mj in m] for row in table])
 
 
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
     """Shifted Schur function s*_mu(lam), exact.
 
-    d may be any integer >= the row counts of both diagrams; the value does
-    not depend on the choice.  d = 0 with mu = lam = () gives 1.
+    d must be an integer >= the row counts of both diagrams, and only that
+    is checked: the value does not depend on d, and the determinants have
+    side min(rows, columns) of lam (_smaller_side), whatever d is.
+    d = 0 with mu = lam = () gives 1.
     """
     mu, lam = as_partition(mu), as_partition(lam)
-    d = _size(d, "d", max(rows(mu), rows(lam)))
-    table, vandermonde = _falling_table(lam, d, (mu[0] if mu else 0) + d - 1)
+    _size(d, "d", max(rows(mu), rows(lam)))
+    lam, (mu,) = _smaller_side(lam, (mu,))
+    table, vandermonde = _falling_table(lam, (mu[0] if mu else 0) + len(lam) - 1)
     return Fraction(_shifted_det(table, mu), vandermonde)

@@ -14,8 +14,10 @@ unchecked memoised internals of partitions, characters and symfunc, over
 its own denominator:
 * dual_trace: n! e^{pq}_lam;
 * dual_twirl_cycle and fully_mixed: d^n;
-* trace_out_sym: the Vandermonde product prod_{i<j} (a_i - a_j) of lam,
-  a_i = lam_i + d - 1 - i, times (n falling k);
+* trace_out_sym: the Vandermonde product prod_{i<j} (a_i - a_j), over the
+  l rows of lam or of its conjugate, whichever has fewer (the side rule
+  symfunc._smaller_side), a_i = lam_i + l - 1 - i, times (n falling k);
+  the local dimension d only labels the support Par(k, d);
 * twirl_power: D^k, D the lcm of the spectrum's denominators.
 The sum check (ConsistencyError), total, is_state, equality and
 trace_distance are then integer arithmetic, with no gcd per weight.
@@ -47,6 +49,7 @@ from .symfunc import (
     _integer_spectrum,
     _jacobi_trudi,
     _shifted_det,
+    _smaller_side,
 )
 
 
@@ -268,15 +271,18 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     a_mu = f_mu * (sum_nu c^lam_{mu nu} f_nu) / f_lam over mu in Par(k, d).
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
-    weight is f_mu * s*_mu(lam) / (n falling k): d x d determinants, with
-    no integer of the size of n!.  Every s*_mu(lam) has the Vandermonde
-    denominator prod_{i<j} (a_i - a_j) of lam, so the numerators share the
-    denominator Vandermonde * (n falling k), and one table of falling
-    factorials of lam serves every mu.  coefficients.dim_skew (Aitken's
-    determinant) eliminates the same integer matrix when d is the row count
-    of lam and d <= lam_1, so the large-size test against it checks the
-    normaliser only.  The check inner-sum-subsystem ties the shifted form
-    to the literal coefficient sum and to standard-tableau counts.
+    weight is f_mu * s*_mu(lam) / (n falling k), with no integer of the
+    size of n!.  The determinants have side min(rows, columns) of lam:
+    symfunc._smaller_side conjugates lam and every mu when lam has more
+    rows than columns, so d only labels the support Par(k, d) and never
+    sizes the work.  Every s*_mu(lam) has the Vandermonde denominator
+    prod_{i<j} (a_i - a_j) of that one table of falling factorials, which
+    serves every mu, so the numerators share the denominator
+    Vandermonde * (n falling k).  coefficients.dim_skew (Aitken's
+    determinant) eliminates the same integer matrix, so the large-size test
+    against it checks the normaliser only.  The check inner-sum-subsystem
+    ties the shifted form to the literal coefficient sum and to
+    standard-tableau counts.
     """
     d = _size(d, "d")
     lam = as_partition(lam)
@@ -286,8 +292,10 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     k = _size(k, "k")
     if k > n:
         raise ValueError("k must be between 1 and n")
-    table, vandermonde = _falling_table(lam, d, k + d - 1)
-    return _vector(k, d, {mu: _dim_sym(mu) * _shifted_det(table, mu) for mu in _partitions(k, d)},
+    keys = _partitions(k, d)
+    lam, mus = _smaller_side(lam, keys)
+    table, vandermonde = _falling_table(lam, k + len(lam) - 1)
+    return _vector(k, d, {mu: _dim_sym(mu) * _shifted_det(table, nu) for mu, nu in zip(keys, mus)},
                    vandermonde * perm(n, k))
 
 
@@ -318,7 +326,9 @@ def twirl_power(r: Spectrum, k: int) -> WernerWeights:
 
     Entries are read exactly as Fraction(x) and must sum to exactly 1.  With
     D the lcm of their denominators, a_mu = f_mu s_mu(D r) / D^k: Jacobi-Trudi
-    determinants over one table of complete homogeneous values of D r.
+    determinants over one table h_0 .. h_k of complete homogeneous values of
+    D r.  A k-box mu reads no index beyond mu_1 + rows(mu) - 1 <= k, so the
+    spectrum's length sizes no table.
     """
     k = _size(k, "k")
     xs, scale = _integer_spectrum(r)
@@ -326,7 +336,7 @@ def twirl_power(r: Spectrum, k: int) -> WernerWeights:
         raise ValueError("spectrum entries must be non-negative")
     if sum(xs) != scale:
         raise ValueError("spectrum must sum to 1")
-    h = _complete_homogeneous(xs, k + len(xs) - 1)
+    h = _complete_homogeneous(xs, k)
     return _vector(k, len(xs), {mu: _dim_sym(mu) * _jacobi_trudi(h, mu)
                                 for mu in _partitions(k, len(xs))}, scale**k)
 

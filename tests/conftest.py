@@ -1,10 +1,29 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from schurweyl import verify
 
 CHECKS = {name: check for registry in verify.SUITES.values() for name, check in registry.items()}
+SRC = Path(__file__).parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run `python *args` in a fresh interpreter that imports this checkout's
+    package, capturing text output.  A run longer than `timeout` seconds is
+    killed and raises subprocess.TimeoutExpired, failing the test."""
+
+    def run(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=timeout)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -80,6 +80,16 @@ def test_trace_commands(capsys):
     assert "[2]: 1/2" in out and "sum: 1/1" in out
 
 
+def test_trace_sym_is_sized_by_the_diagram_not_by_d(fresh_python):
+    # every factorial determinant has side min(rows, columns) of lam, so a
+    # large d or a long column costs what a small one does
+    for argv, want in ((["[2,1]", "--sym", "2", "10000"], {(2,): (1, 2), (1, 1): (1, 2)}),
+                       ([json.dumps([1] * 300), "--sym", "2", "300"], {(2,): (0, 1), (1, 1): (1, 1)})):
+        run = fresh_python("-m", "schurweyl.cli", "--format", "json", "trace", *argv, timeout=10)
+        assert run.returncode == 0, run.stderr
+        assert printed_weights(run.stdout) == want
+
+
 def test_twirl_and_dual_twirl(capsys):
     code, out = run_cli(capsys, "--format", "json", "twirl", '["2/3","1/3"]', "2")
     assert printed_weights(out)[(2,)] == (7, 9)
@@ -214,6 +224,16 @@ def test_deep_inputs_hit_a_resource_limit(capsys):
     assert main(["dual-twirl", json.dumps([2] * 1200), "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_answer_beyond_the_digit_limit_is_a_resource_limit(capsys):
+    # the exact bound has 6602 digits: a valid query, not a usage error
+    for fmt in ("plain", "json"):
+        assert main(["--format", fmt, "bound", "--dual", "2000", "2000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{sys.get_int_max_str_digits()} digits" in captured.err
 
 
 def test_deep_all_ones_cycle_type_answers(capsys):

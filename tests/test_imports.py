@@ -3,13 +3,6 @@
 Each test runs a fresh interpreter, because this one has numpy loaded.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).parents[1] / "src"
-
 # one argv per algebraic subcommand; each must run without loading numpy
 ALGEBRAIC_ARGV = [
     ["kron", "[3,2,1]", "[3,2,1]", "[4,2]"],
@@ -26,13 +19,7 @@ ALGEBRAIC_ARGV = [
 ]
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
-def test_algebraic_commands_do_not_import_numpy():
+def test_algebraic_commands_do_not_import_numpy(fresh_python):
     # nor dataclasses, which loads inspect, nor typing: start-up is paid by
     # every cold process.  -S keeps site .pth imports from loading them first.
     script = f"""
@@ -42,11 +29,11 @@ for argv in {ALGEBRAIC_ARGV!r}:
     assert main(argv) == 0, argv
     assert not {{"numpy", "dataclasses", "typing"}} & set(sys.modules), argv
 """
-    run = _python("-S", "-c", script)
+    run = fresh_python("-S", "-c", script)
     assert run.returncode == 0, run.stderr
 
 
-def test_package_names_resolve_and_load_the_oracle_on_first_use():
+def test_package_names_resolve_and_load_the_oracle_on_first_use(fresh_python):
     script = """
 import sys
 import schurweyl
@@ -66,11 +53,11 @@ except AttributeError as exc:
 else:
     raise SystemExit("unknown attribute resolved")
 """
-    run = _python("-c", script)
+    run = fresh_python("-c", script)
     assert run.returncode == 0, run.stderr
 
 
-def test_tableau_enumeration_does_not_import_numpy():
+def test_tableau_enumeration_does_not_import_numpy(fresh_python):
     script = """
 import sys
 import schurweyl
@@ -79,12 +66,12 @@ assert sum(1 for _ in schurweyl.standard_tableaux((3, 2))) == 5
 assert schurweyl.skew_standard_count((3, 2, 1), (1,)) == 16
 assert "numpy" not in sys.modules and "schurweyl.oracle" not in sys.modules
 """
-    run = _python("-c", script)
+    run = fresh_python("-c", script)
     assert run.returncode == 0, run.stderr
 
 
-def test_refused_verify_argv_exit_2_without_a_traceback():
+def test_refused_verify_argv_exit_2_without_a_traceback(fresh_python):
     for argv in (["verify", "bogus"], ["--size-cap", "60", "verify", "bounds"]):
-        run = _python("-m", "schurweyl.cli", *argv)
+        run = fresh_python("-m", "schurweyl.cli", *argv)
         assert run.returncode == 2, argv
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr, run.stderr

@@ -432,6 +432,18 @@ def test_operator_arithmetic_sanity():
         ident + identity_operator(3, 2)
 
 
+def test_operators_keep_their_entries_exact():
+    # int64 entries become Python ints, so a sum past 2^63 does not wrap to 0
+    big = DenseOperator(np.full((2, 2), 2**62, dtype=np.int64), 1, 1, 2)
+    assert all(type(v) is int for v in big.mat.flat)
+    assert (big + big).trace() == 2**64
+    # a float matrix would be truncated to trace 0; inexact dtypes are refused
+    for mat in (np.array([[0.1, 0.2], [0.2, 0.3]]), np.eye(2, dtype=complex),
+                np.eye(2, dtype=bool)):
+        with pytest.raises(ValueError, match="dtype"):
+            DenseOperator(mat, 1, 1, 2)
+
+
 def test_integer_products_are_exact_python_ints():
     # both paths: int64 while k * amax * bmax < 2^63, Python ints beyond
     rng = random.Random(7)

@@ -147,6 +147,14 @@ def test_shifted_schur_is_independent_of_the_padding():
         assert shifted_schur_eval((1, 1), (2, 1), d) == 3
 
 
+def test_shifted_schur_cost_does_not_grow_with_d(fresh_python):
+    # d is only range-checked: the determinant has side min(rows, columns) of lam
+    script = "from schurweyl import shifted_schur_eval as s; print(s((2, 1), (5, 3, 1), 200))"
+    run = fresh_python("-c", script, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert Fraction(run.stdout.strip()) == shifted_schur_eval((2, 1), (5, 3, 1), 3) == 168
+
+
 def test_scaling_limit_values():
     # frozen via the identity s* = (mn falling k) * dim_skew / f on scaled shapes
     assert shifted_schur_eval((2,), (20, 10), 2) == \

@@ -90,9 +90,10 @@ def test_trace_out_sym_matches_the_coefficient_sum():
 
 
 def test_trace_out_sym_matches_the_skew_dimension_at_large_sizes():
-    # far beyond the coefficient sum.  With d the row count, dim_skew and
-    # shifted_schur_eval eliminate the same matrix, so this checks the
-    # normalisers; test_coefficients.py pins the determinant at these sizes
+    # far beyond the coefficient sum.  dim_skew and shifted_schur_eval
+    # eliminate the same matrix, of side min(rows, columns) of lam whatever
+    # d is, so this checks the normalisers; test_coefficients.py pins the
+    # determinant at these sizes
     for lam, k, d in (((1200, 900, 600, 300), 6, 4), ((242, 158), 3, 2)):
         f = dim_sym(lam)
         w = trace_out_sym(lam, k, d)
@@ -134,6 +135,15 @@ def test_trace_maps_reject_nonpositive_dimensions():
     for d in (0, -1):
         with pytest.raises(ValueError, match="d must be positive"):
             trace_out_sym((2, 1), 2, d)
+
+
+def test_twirl_power_cost_does_not_grow_with_the_spectrum_length(fresh_python):
+    # a k-box Jacobi-Trudi determinant reads h_0 .. h_k only, however long r is
+    script = ("from schurweyl import twirl_power; w = twirl_power((1,) + (0,) * 19999, 2);"
+              " print(w.d, w.weight((2,)), w.weight((1, 1)))")
+    run = fresh_python("-c", script, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["20000", "1", "0"]
 
 
 def test_twirl_power_examples():

@@ -32,7 +32,7 @@ from .partitions import (
     skew_standard_count,
     standard_tableaux,
 )
-from .symfunc import falling_factorial, schur_eval, shifted_schur_eval
+from .symfunc import schur_eval, shifted_schur_eval
 from .werner import (
     IntPolynomial,
     RootRange,
@@ -95,7 +95,6 @@ __all__ = [
     "dim_unitary",
     "dual_trace",
     "dual_twirl_cycle",
-    "falling_factorial",
     "first_standard_tableau",
     "fully_mixed",
     "horn_witness",

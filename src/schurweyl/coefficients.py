@@ -16,11 +16,11 @@ so that one can cross-validate the other:
   values in the tests, and the dense tensor oracle elsewhere.
 * f^{lambda/mu}: Aitken's determinant, cross-checked by the brute-force
   standard-tableau count partitions.skew_standard_count.  No production
-  path consumes dim_skew.  The subsystem trace's shifted Schur values
-  eliminate the same integer matrix, so comparing the two checks only the
-  normaliser; dim_skew's docstring says what pins the determinant.  Both
-  size it by the one side rule symfunc._smaller_side: min(rows, columns)
-  of lambda, never a caller's local dimension.
+  path consumes dim_skew.  Its matrix and the subsystem trace's shifted
+  Schur values come from the one kernel symfunc._skew_dets, of side
+  min(rows, columns) of lambda and never a caller's local dimension, so
+  comparing the two checks only the normaliser; dim_skew's docstring says
+  what pins the determinant.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .partitions import (
     contains,
     partitions_of,
 )
-from .symfunc import _det, _smaller_side, falling_factorial
+from .symfunc import _skew_dets
 
 
 def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -143,8 +143,11 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
 def branching_sum_lr(lam: Partition, mu: Partition, d: int) -> int:
     """sum over nu in Par(|lambda|-|mu|, d) of c^lambda_{mu nu} f_nu.
 
-    The independent oracle of werner.trace_out_sym, through the check
-    inner-sum-subsystem.
+    The independent oracle of the shared factorial determinant: the check
+    inner-sum-subsystem holds it, f^{lambda/mu} at d >= rows(lambda), to
+    shifted_schur_eval, dim_skew and the standard-tableau count.  Only the
+    test test_trace_out_sym_matches_the_coefficient_sum holds
+    werner.trace_out_sym's normaliser to it.
     """
     lam, mu, d = as_partition(lam), as_partition(mu), _size(d, "d")
     m = sum(lam) - sum(mu)
@@ -183,14 +186,14 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     and 1/m! = 0 for m < 0 (Macdonald, Symmetric Functions, I.7 Ex. 3).
     Row i is scaled by a_i! with a_i = lam_i - i + l - 1 (l rows, mu
     zero-padded to l), which turns every entry into the integer falling
-    factorial a_i (a_i - 1) ... (a_i - b_j + 1) with b_j = mu_j - j + l - 1.
-    A diagram with more rows than columns is conjugated first, by the side
-    rule symfunc._smaller_side, which leaves the count unchanged and keeps
-    the matrix side at min(rows, columns) <= sqrt(|lam|).  Exact for
-    diagrams with thousands of boxes; 0 unless inner fits inside outer.
-    shifted_schur_eval(mu, lam, d) (werner.trace_out_sym) follows the same
-    rule, so for every d it hands this very matrix to _det and differs only
-    in the normaliser, prod_{i<j} (a_i - a_j) for N!/prod a_i!, so comparing
+    factorial a_i (a_i - 1) ... (a_i - b_j + 1) with b_j = mu_j - j + l - 1:
+    the determinant symfunc._skew_dets builds for shifted_schur_eval and
+    werner.trace_out_sym as well.  It conjugates a diagram with more rows
+    than columns, which leaves the count unchanged and keeps the side at
+    min(rows, columns) <= sqrt(|lam|).  Exact for diagrams with thousands
+    of boxes; 0 unless inner fits inside outer.  The normaliser
+    N!/prod a_i! is this function's own half; the shifted Schur value
+    divides the same determinant by prod_{i<j} (a_i - a_j), so comparing
     the two checks the normalisers only.  The determinant is pinned by the
     standard-tableau count partitions.skew_standard_count on small diagrams
     and, at thousands of boxes, by the hook-length, restriction-rule and
@@ -199,11 +202,7 @@ def dim_skew(outer: Partition, inner: Partition) -> int:
     outer, inner = as_partition(outer), as_partition(inner)
     if not contains(inner, outer):
         return 0
-    outer, (inner,) = _smaller_side(outer, (inner,))
-    size = len(outer)
-    a = [outer[i] - i + size - 1 for i in range(size)]
-    b = [(inner[j] if j < len(inner) else 0) - j + size - 1 for j in range(size)]
-    det = _det([[falling_factorial(ai, bj) for bj in b] for ai in a])
+    (det,), a = _skew_dets(outer, (inner,))
     value, rem = divmod(factorial(sum(outer) - sum(inner)) * det, prod(factorial(ai) for ai in a))
     if rem or value < 1:
         raise ConsistencyError(f"Aitken determinant for {outer}/{inner} is not a positive integer")

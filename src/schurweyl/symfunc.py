@@ -19,19 +19,19 @@ exact identity
 f_lam * s*_mu(lam) / (n falling k) = dim lam/mu, which the test suite
 enforces rather than assumes.
 
-One side rule sizes every factorial determinant, here, in
-werner.trace_out_sym and in coefficients.dim_skew: _smaller_side conjugates
-lam and mu when lam has more rows than columns, which leaves
-f^{lam/mu}, f^lam and so s*_mu(lam) unchanged, so each determinant has side
-min(rows, columns) of lam.  A mu with more rows than that does not fit
-inside lam and gives 0.  A local dimension d only labels the support
-Par(k, d) and is range-checked; it never sizes a table.
+One private kernel, _skew_dets, builds every factorial determinant:
+shifted_schur_eval here, werner.trace_out_sym and coefficients.dim_skew
+each call it once, for one mu or for a whole list of them over one table
+of lam.  It conjugates lam and every mu when lam has more rows than
+columns, which leaves f^{lam/mu}, f^lam and so s*_mu(lam) unchanged, so
+each determinant has side min(rows, columns) of lam.  A mu with more rows
+than that does not fit inside lam and gives 0.  A local dimension d only
+labels the support Par(k, d) and is range-checked; it never sizes a table.
 
 Both values are Fraction(numerator, denominator) over private integer
 helpers (_integer_spectrum, _complete_homogeneous and _jacobi_trudi;
-_smaller_side, _falling_table and _shifted_det), which the Werner maps in
-werner.py call directly to build a whole weight vector over one
-denominator.
+_skew_dets and _vandermonde), which the Werner maps in werner.py call
+directly to build a whole weight vector over one denominator.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ from math import lcm, prod
 from .partitions import Partition, _conjugate, _size, as_partition, rows
 
 Spectrum = Sequence
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1) for integers n and k >= 0; the empty product 1 for k = 0."""
-    n, out = _size(n, "n", None), 1
-    for i in range(_size(k, "k", 0)):
-        out *= n - i
-    return out
 
 
 def _bareiss_step(a: list[list[int]], col: int, prev: int) -> None:
@@ -174,42 +166,38 @@ def schur_eval(mu: Partition, r: Spectrum) -> Fraction:
     return Fraction(_jacobi_trudi(h, mu), scale ** sum(mu))
 
 
-def _smaller_side(lam: Partition,
-                  mus: Sequence[Partition]) -> tuple[Partition, Sequence[Partition]]:
-    """(lam, mus), lam and every mu conjugated when lam has more rows than
-    columns, so that a factorial determinant of lam has side
-    min(rows, columns): the one side rule of the module docstring.
-    Unchecked: canonical partitions.
+def _skew_dets(lam: Partition, mus: Sequence[Partition]) -> tuple[list[int], list[int]]:
+    """The one builder of factorial determinants: for each mu,
+    det[(a_i) falling (mu_j + l - 1 - j)] with a_i = lam_i + l - 1 - i over
+    the l rows of lam, and the a_i.  lam and every mu are conjugated first
+    when lam has more rows than columns (the side rule of the module
+    docstring), so the a_i belong to lam'.  Every row of the matrix is read
+    from one running product a_i (a_i - 1) ... that stops at the longest
+    factorial the mus need.  A mu with more than l rows does not fit inside
+    lam and gives 0.  Unchecked: canonical partitions.
     """
     if lam and len(lam) > lam[0]:
-        return _conjugate(lam), [_conjugate(mu) for mu in mus]
-    return lam, mus
-
-
-def _falling_table(lam: Partition, top: int) -> tuple[list[list[int]], int]:
-    """For a_i = lam_i + l - 1 - i, l = rows(lam): the rows [a_i falling t
-    for t = 0..top] and the Vandermonde product prod_{i<j} (a_i - a_j),
-    positive because the a_i strictly decrease.  Unchecked: lam canonical.
-    """
-    size, table = len(lam), []
+        lam, mus = _conjugate(lam), [_conjugate(mu) for mu in mus]
+    size = len(lam)
     a = [part + size - 1 - i for i, part in enumerate(lam)]
+    top = max((mu[0] for mu in mus if mu and len(mu) <= size), default=0) + size - 1
+    table = []
     for ai in a:
         falling = [1]  # falling[t] = ai (ai - 1) ... (ai - t + 1)
         for t in range(top):
             falling.append(falling[-1] * (ai - t))
         table.append(falling)
-    return table, prod(ai - aj for i, ai in enumerate(a) for aj in a[i + 1:])
+    dets = []
+    for mu in mus:
+        m = [(mu[j] if j < len(mu) else 0) + size - 1 - j for j in range(size)]
+        dets.append(_det([[row[mj] for mj in m] for row in table]) if len(mu) <= size else 0)
+    return dets, a
 
 
-def _shifted_det(table: list[list[int]], mu: Partition) -> int:
-    """det[(a_i) falling (mu_j + l - 1 - j)] over a _falling_table with l rows
-    and top >= mu_1 + l - 1: the numerator of s*_mu(lam).  0 when mu has
-    more than l rows, for then mu does not fit inside lam."""
-    size = len(table)
-    if len(mu) > size:
-        return 0
-    m = [mu[j] + size - 1 - j if j < len(mu) else size - 1 - j for j in range(size)]
-    return _det([[row[mj] for mj in m] for row in table])
+def _vandermonde(a: list[int]) -> int:
+    """prod_{i<j} (a_i - a_j): the factorial determinant det[(a_i) falling
+    (l - 1 - j)], positive for the strictly decreasing a_i of _skew_dets."""
+    return prod(ai - aj for i, ai in enumerate(a) for aj in a[i + 1:])
 
 
 def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
@@ -217,11 +205,10 @@ def shifted_schur_eval(mu: Partition, lam: Partition, d: int) -> Fraction:
 
     d must be an integer >= the row counts of both diagrams, and only that
     is checked: the value does not depend on d, and the determinants have
-    side min(rows, columns) of lam (_smaller_side), whatever d is.
+    side min(rows, columns) of lam (_skew_dets), whatever d is.
     d = 0 with mu = lam = () gives 1.
     """
     mu, lam = as_partition(mu), as_partition(lam)
     _size(d, "d", max(rows(mu), rows(lam)))
-    lam, (mu,) = _smaller_side(lam, (mu,))
-    table, vandermonde = _falling_table(lam, (mu[0] if mu else 0) + len(lam) - 1)
-    return Fraction(_shifted_det(table, mu), vandermonde)
+    (num,), a = _skew_dets(lam, (mu,))
+    return Fraction(num, _vandermonde(a))

@@ -35,7 +35,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from operator import mul
 
 import numpy as np
@@ -63,7 +63,7 @@ from .partitions import (
     skew_standard_count,
     standard_tableaux,
 )
-from .symfunc import falling_factorial, schur_eval, schur_eval_tableau, shifted_schur_eval
+from .symfunc import schur_eval, schur_eval_tableau, shifted_schur_eval
 from .werner import (
     character_polynomial,
     definetti_bound_dual,
@@ -203,7 +203,7 @@ def check_inner_sum_subsystem(*, seed: int) -> Cases:
                     via_skew = skew_standard_count(lam, mu)
                     via_lr = branching_sum_lr(lam, mu, n)
                     shifted = shifted_schur_eval(mu, lam, max(d, rows(mu)))
-                    via_shifted = Fraction(dim_sym(lam)) * shifted / falling_factorial(n, k)
+                    via_shifted = Fraction(dim_sym(lam)) * shifted / perm(n, k)
                     yield (lam, mu), via_skew == via_lr == via_shifted == dim_skew(lam, mu)
 
 
@@ -338,7 +338,7 @@ def check_shifted_schur_scaling_limit(*, seed: int) -> Cases:
         deltas = []
         for m in (1, 10, 100):
             scaled = tuple(m * x for x in lam)
-            val = shifted_schur_eval(mu, scaled, d) / falling_factorial(m * n, k)
+            val = shifted_schur_eval(mu, scaled, d) / perm(m * n, k)
             deltas.append(abs(val - target))
         ok = deltas[0] > deltas[1] > deltas[2]
         ok = ok and Fraction(5) <= deltas[1] / deltas[2] <= Fraction(20)

@@ -15,8 +15,8 @@ its own denominator:
 * dual_trace: n! e^{pq}_lam;
 * dual_twirl_cycle and fully_mixed: d^n;
 * trace_out_sym: the Vandermonde product prod_{i<j} (a_i - a_j), over the
-  l rows of lam or of its conjugate, whichever has fewer (the side rule
-  symfunc._smaller_side), a_i = lam_i + l - 1 - i, times (n falling k);
+  l rows of lam or of its conjugate, whichever has fewer (the side rule of
+  symfunc._skew_dets), a_i = lam_i + l - 1 - i, times (n falling k);
   the local dimension d only labels the support Par(k, d);
 * twirl_power: D^k, D the lcm of the spectrum's denominators.
 The sum check (ConsistencyError), total, is_state, equality and
@@ -45,11 +45,10 @@ from .partitions import (
 from .symfunc import (
     Spectrum,
     _complete_homogeneous,
-    _falling_table,
     _integer_spectrum,
     _jacobi_trudi,
-    _shifted_det,
-    _smaller_side,
+    _skew_dets,
+    _vandermonde,
 )
 
 
@@ -272,17 +271,15 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k), with no integer of the
-    size of n!.  The determinants have side min(rows, columns) of lam:
-    symfunc._smaller_side conjugates lam and every mu when lam has more
-    rows than columns, so d only labels the support Par(k, d) and never
-    sizes the work.  Every s*_mu(lam) has the Vandermonde denominator
-    prod_{i<j} (a_i - a_j) of that one table of falling factorials, which
-    serves every mu, so the numerators share the denominator
-    Vandermonde * (n falling k).  coefficients.dim_skew (Aitken's
-    determinant) eliminates the same integer matrix, so the large-size test
-    against it checks the normaliser only.  The check inner-sum-subsystem
-    ties the shifted form to the literal coefficient sum and to
-    standard-tableau counts.
+    size of n!.  One call of symfunc._skew_dets gives every numerator from
+    one table of lam, of side min(rows, columns) of lam, so d only labels
+    the support Par(k, d) and never sizes the work; the numerators share
+    the denominator Vandermonde * (n falling k).  coefficients.dim_skew
+    takes its matrix from the same kernel, so the large-size test against
+    it checks the normaliser only.  The check inner-sum-subsystem ties the
+    shared determinant, through shifted_schur_eval, to the literal
+    coefficient sum and standard-tableau counts; a unit test ties this
+    normaliser to the coefficient sum.
     """
     d = _size(d, "d")
     lam = as_partition(lam)
@@ -293,10 +290,9 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     if k > n:
         raise ValueError("k must be between 1 and n")
     keys = _partitions(k, d)
-    lam, mus = _smaller_side(lam, keys)
-    table, vandermonde = _falling_table(lam, k + len(lam) - 1)
-    return _vector(k, d, {mu: _dim_sym(mu) * _shifted_det(table, nu) for mu, nu in zip(keys, mus)},
-                   vandermonde * perm(n, k))
+    dets, a = _skew_dets(lam, keys)
+    return _vector(k, d, {mu: _dim_sym(mu) * det for mu, det in zip(keys, dets)},
+                   _vandermonde(a) * perm(n, k))
 
 
 def dual_trace(lam: Partition, p: int, q: int) -> WernerWeights:
@@ -416,15 +412,14 @@ def horn_witness(lam: Partition, mu: Partition) -> HornWitness | None:
 
     Exists iff mu fits inside lam (equivalently the shifted Schur value is
     positive); then B = diag(lam - mu) works.  Spectra are padded to length
-    |lam|.  Returns None when mu is not contained in lam.
+    rows(lam), which mu fits inside.  Returns None when mu is not contained
+    in lam.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if not contains(mu, lam):
         return None
-    n = sum(lam)
-    c = tuple(lam) + (0,) * (n - len(lam))
-    a = tuple(mu) + (0,) * (n - len(mu))
-    b = tuple(ci - ai for ci, ai in zip(c, a))
+    a = mu + (0,) * (len(lam) - len(mu))
+    b = tuple(ci - ai for ci, ai in zip(lam, a))
     if any(x < 0 for x in b):
         raise ConsistencyError("Horn witness has a negative entry")
-    return HornWitness(a, b, c)
+    return HornWitness(a, b, lam)

@@ -110,9 +110,18 @@ def test_qplus_and_horn(capsys):
     code, out = run_cli(capsys, "qplus", "[4,1]", "[2,1,1,1]")
     assert out == "q+=3 q-=-1 roots=0,1,2\n"
     code, out = run_cli(capsys, "--format", "json", "horn", "[2,1]", "[1]")
-    assert json.loads(out)["witness"] == {"a": [1, 0, 0], "b": [1, 1, 0], "c": [2, 1, 0]}
+    assert json.loads(out)["witness"] == {"a": [1, 0], "b": [1, 1], "c": [2, 1]}
     code, out = run_cli(capsys, "horn", "[3,1]", "[2,2]")
     assert out == "none\n"
+
+
+def test_horn_is_sized_by_the_rows_not_by_the_boxes(fresh_python):
+    # the witness spectra have rows(lam) entries, so a one-row diagram of
+    # two million boxes prints three one-entry diagonals at once
+    run = fresh_python("-m", "schurweyl.cli", "horn", "[2000000]", "[1]", timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "A=diag(1,)\nB=diag(1999999,)\nC=diag(2000000,)\n"
+    assert len(run.stdout) < 200
 
 
 def test_chartable_csv(capsys):

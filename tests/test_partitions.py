@@ -44,7 +44,6 @@ from schurweyl.partitions import (
     standard_tableaux,
 )
 from schurweyl.symfunc import (
-    falling_factorial,
     schur_eval,
     schur_eval_tableau,
     shifted_schur_eval,
@@ -279,8 +278,6 @@ SIZE_SLOTS = {
     "partitions_of max_rows": ("max_rows", 2, -1, lambda x: partitions_of(3, x)),
     "as_partition row": ("partition rows", 1, -1, lambda x: as_partition((3, x))),
     "dim_unitary d": ("d", 3, 0, lambda x: dim_unitary((2, 1), x)),
-    "falling_factorial n": ("n", 5, None, lambda x: falling_factorial(x, 2)),
-    "falling_factorial k": ("k", 2, -1, lambda x: falling_factorial(5, x)),
     "branching_sum_lr d": ("d", 2, 0, lambda x: branching_sum_lr((2, 1), (1,), x)),
     "branching_sum_kron q": ("q", 2, 0, lambda x: branching_sum_kron((2, 1), (2, 1), x)),
     "shifted_schur_eval d": ("d", 3, 1, lambda x: shifted_schur_eval((1,), (2, 1), x)),

@@ -52,3 +52,17 @@ def test_sizes_are_read_only_by_partitions_size():
                 if SIZE_RULES.search(text) and SIZE_NAMES.search(text):
                     found.append(f"{path.name}:{node.lineno} {text!r}")
     assert found == []
+
+
+def test_factorial_determinants_are_built_only_in_symfunc():
+    # symfunc._skew_dets is the one builder of factorial determinants, so no
+    # other module eliminates a matrix of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "symfunc.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "_det"
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "_det")
+    ]
+    assert found == []

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,20 +12,10 @@ from schurweyl.partitions import normalized, partitions_of, rows
 from schurweyl.symfunc import (
     _det,
     _is_psd,
-    falling_factorial,
     schur_eval,
     schur_eval_tableau,
     shifted_schur_eval,
 )
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(7, 0) == 1
-    assert falling_factorial(3, 5) == 0
-    assert falling_factorial(-2, 2) == 6
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
 
 
 def _leibniz(m):
@@ -158,13 +148,13 @@ def test_shifted_schur_cost_does_not_grow_with_d(fresh_python):
 def test_scaling_limit_values():
     # frozen via the identity s* = (mn falling k) * dim_skew / f on scaled shapes
     assert shifted_schur_eval((2,), (20, 10), 2) == \
-        Fraction(falling_factorial(30, 2) * dim_skew((20, 10), (2,)), dim_sym((20, 10)))
+        Fraction(perm(30, 2) * dim_skew((20, 10), (2,)), dim_sym((20, 10)))
     deltas = []
     target = schur_eval((2,), normalized((2, 1)))
     assert target == Fraction(7, 9)
     for m in (1, 10, 100):
         lam = (2 * m, m)
-        val = Fraction(shifted_schur_eval((2,), lam, 2), falling_factorial(3 * m, 2))
+        val = Fraction(shifted_schur_eval((2,), lam, 2), perm(3 * m, 2))
         deltas.append(abs(val - target))
     assert deltas == [Fraction(5, 18), Fraction(5, 261), Fraction(5, 2691)]
 
@@ -174,8 +164,8 @@ def _two_determinant_shifted_schur(mu, lam, d):
     both factorial determinants taken in full."""
     a = [(lam[i] if i < len(lam) else 0) + d - 1 - i for i in range(d)]
     m = [(mu[j] if j < len(mu) else 0) + d - 1 - j for j in range(d)]
-    num = _det([[falling_factorial(ai, mj) for mj in m] for ai in a])
-    den = _det([[falling_factorial(ai, d - 1 - j) for j in range(d)] for ai in a])
+    num = _det([[perm(ai, mj) for mj in m] for ai in a])
+    den = _det([[perm(ai, d - 1 - j) for j in range(d)] for ai in a])
     return Fraction(num, den)
 
 

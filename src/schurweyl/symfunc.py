@@ -10,8 +10,8 @@ independent oracle of schur_eval.
 Shifted Schur values use the ratio of factorial determinants
 det[(a_i) falling (mu_j + l - 1 - j)] / det[(a_i) falling (l - 1 - j)] with
 a_i = lam_i + l - 1 - i over the l rows of lam (Okounkov-Olshanski, Shifted
-Schur functions, q-alg/9605042).  Each row of the numerator is one running
-product a_i (a_i - 1) ... up to the longest factorial.  Falling factorials
+Schur functions, q-alg/9605042).  Each numerator entry is one
+math.perm(a_i, c), which is 0 when c > a_i.  Falling factorials
 are a monic basis, so column operations reduce the denominator to the
 Vandermonde determinant det[a_i^(l-1-j)] = prod_{i<j} (a_i - a_j), and
 only the numerator is eliminated.  The normalization is pinned by the
@@ -21,12 +21,12 @@ enforces rather than assumes.
 
 One private kernel, _skew_dets, builds every factorial determinant:
 shifted_schur_eval here, werner.trace_out_sym and coefficients.dim_skew
-each call it once, for one mu or for a whole list of them over one table
-of lam.  It conjugates lam and every mu when lam has more rows than
+each call it once, for one mu or for a whole list of them, and it keeps
+only the columns those mus read.  It conjugates lam and every mu when lam has more rows than
 columns, which leaves f^{lam/mu}, f^lam and so s*_mu(lam) unchanged, so
 each determinant has side min(rows, columns) of lam.  A mu with more rows
 than that does not fit inside lam and gives 0.  A local dimension d only
-labels the support Par(k, d) and is range-checked; it never sizes a table.
+labels the support Par(k, d) and is range-checked; it never sizes a determinant.
 
 Both values are Fraction(numerator, denominator) over private integer
 helpers (_integer_spectrum, _complete_homogeneous and _jacobi_trudi;
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm, perm, prod
 
 from .partitions import Partition, _conjugate, _size, as_partition, rows
 
@@ -171,27 +171,21 @@ def _skew_dets(lam: Partition, mus: Sequence[Partition]) -> tuple[list[int], lis
     det[(a_i) falling (mu_j + l - 1 - j)] with a_i = lam_i + l - 1 - i over
     the l rows of lam, and the a_i.  lam and every mu are conjugated first
     when lam has more rows than columns (the side rule of the module
-    docstring), so the a_i belong to lam'.  Every row of the matrix is read
-    from one running product a_i (a_i - 1) ... that stops at the longest
-    factorial the mus need.  A mu with more than l rows does not fit inside
-    lam and gives 0.  Unchecked: canonical partitions.
+    docstring), so the a_i belong to lam'.  Row i holds math.perm(a_i, c)
+    only at the distinct columns c that the fitting mus read: l entries per
+    column read, not every running product up to the largest one.  A mu
+    with more than l rows does not fit inside lam and gives 0; mu = ()
+    fits every lam, and for lam = () its 0 x 0 determinant is 1.  Unchecked: canonical partitions.
     """
     if lam and len(lam) > lam[0]:
         lam, mus = _conjugate(lam), [_conjugate(mu) for mu in mus]
     size = len(lam)
     a = [part + size - 1 - i for i, part in enumerate(lam)]
-    top = max((mu[0] for mu in mus if mu and len(mu) <= size), default=0) + size - 1
-    table = []
-    for ai in a:
-        falling = [1]  # falling[t] = ai (ai - 1) ... (ai - t + 1)
-        for t in range(top):
-            falling.append(falling[-1] * (ai - t))
-        table.append(falling)
-    dets = []
-    for mu in mus:
-        m = [(mu[j] if j < len(mu) else 0) + size - 1 - j for j in range(size)]
-        dets.append(_det([[row[mj] for mj in m] for row in table]) if len(mu) <= size else 0)
-    return dets, a
+    cols = [[(mu[j] if j < len(mu) else 0) + size - 1 - j for j in range(size)]
+            if len(mu) <= size else None for mu in mus]
+    read = {c for m in cols if m is not None for c in m}
+    falling = [{c: perm(ai, c) for c in read} for ai in a]
+    return [0 if m is None else _det([[row[c] for c in m] for row in falling]) for m in cols], a
 
 
 def _vandermonde(a: list[int]) -> int:

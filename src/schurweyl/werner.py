@@ -271,8 +271,9 @@ def trace_out_sym(lam: Partition, k: int, d: int) -> WernerWeights:
     The inner sum over f_lam is dim(lam/mu) / f_lam = s*_mu(lam) / (n falling k)
     (Okounkov-Olshanski, Shifted Schur functions, q-alg/9605042), so each
     weight is f_mu * s*_mu(lam) / (n falling k), with no integer of the
-    size of n!.  One call of symfunc._skew_dets gives every numerator from
-    one table of lam, of side min(rows, columns) of lam, so d only labels
+    size of n!.  One call of symfunc._skew_dets gives every numerator, each
+    a determinant of side min(rows, columns) of lam over the columns the
+    mus read, so d only labels
     the support Par(k, d) and never sizes the work; the numerators share
     the denominator Vandermonde * (n falling k).  coefficients.dim_skew
     takes its matrix from the same kernel, so the large-size test against

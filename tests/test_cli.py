@@ -90,6 +90,19 @@ def test_trace_sym_is_sized_by_the_diagram_not_by_d(fresh_python):
         assert printed_weights(run.stdout) == want
 
 
+def test_trace_sym_keeps_only_the_columns_it_reads(fresh_python):
+    # a one-row lam with k = n reads two columns per row, so its factorial
+    # determinants hold a few numbers, not every running product up to n
+    script = ("import tracemalloc; from schurweyl.werner import trace_out_sym; "
+              "tracemalloc.start(); w = trace_out_sym((8000,), 8000, 1); "
+              "print(tracemalloc.get_traced_memory()[1], list(w.weights.values()))")
+    run = fresh_python("-c", script, timeout=10)
+    assert run.returncode == 0, run.stderr
+    peak, weights = run.stdout.split(" ", 1)
+    assert int(peak) < 5_000_000
+    assert weights.strip() == "[Fraction(1, 1)]"
+
+
 def test_twirl_and_dual_twirl(capsys):
     code, out = run_cli(capsys, "--format", "json", "twirl", '["2/3","1/3"]', "2")
     assert printed_weights(out)[(2,)] == (7, 9)

@@ -178,7 +178,7 @@ def test_dim_skew_scales_to_large_shapes():
 
 
 def test_dim_skew_with_empty_inner_is_the_hook_length_formula():
-    for lam in ((120, 100, 80), (200, 150), (100, 90, 80, 70), (301,), (1,) * 300):
+    for lam in ((), (120, 100, 80), (200, 150), (100, 90, 80, 70), (301,), (1,) * 300):
         assert dim_skew(lam, ()) == dim_sym(lam)
 
 

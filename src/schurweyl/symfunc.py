@@ -22,11 +22,12 @@ enforces rather than assumes.
 One private kernel, _skew_dets, builds every factorial determinant:
 shifted_schur_eval here, werner.trace_out_sym and coefficients.dim_skew
 each call it once, for one mu or for a whole list of them, and it keeps
-only the columns those mus read.  It conjugates lam and every mu when lam has more rows than
-columns, which leaves f^{lam/mu}, f^lam and so s*_mu(lam) unchanged, so
-each determinant has side min(rows, columns) of lam.  A mu with more rows
-than that does not fit inside lam and gives 0.  A local dimension d only
-labels the support Par(k, d) and is range-checked; it never sizes a determinant.
+only the columns those mus read.  It conjugates lam and every mu when lam
+has more rows than columns, which leaves f^{lam/mu}, f^lam and so
+s*_mu(lam) unchanged, so each determinant has side min(rows, columns) of
+lam.  A mu with more rows than that does not fit inside lam and gives 0.
+A local dimension d only labels the support Par(k, d) and is
+range-checked; it never sizes a determinant.
 
 Both values are Fraction(numerator, denominator) over private integer
 helpers (_integer_spectrum, _complete_homogeneous and _jacobi_trudi;
@@ -175,7 +176,8 @@ def _skew_dets(lam: Partition, mus: Sequence[Partition]) -> tuple[list[int], lis
     only at the distinct columns c that the fitting mus read: l entries per
     column read, not every running product up to the largest one.  A mu
     with more than l rows does not fit inside lam and gives 0; mu = ()
-    fits every lam, and for lam = () its 0 x 0 determinant is 1.  Unchecked: canonical partitions.
+    fits every lam, and for lam = () its 0 x 0 determinant is 1.
+    Unchecked: canonical partitions.
     """
     if lam and len(lam) > lam[0]:
         lam, mus = _conjugate(lam), [_conjugate(mu) for mu in mus]

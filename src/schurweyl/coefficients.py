@@ -107,6 +107,7 @@ def littlewood_richardson_char(lam: Partition, mu: Partition, nu: Partition) -> 
     """c^lambda_{mu nu} as the inner product of the restricted character with
     chi^mu x chi^nu over S_k x S_{n-k}.  Independent of the tableau path.
     """
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n, k, m = sum(lam), sum(mu), sum(nu)
     if k + m != n:
         return 0

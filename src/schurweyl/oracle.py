@@ -109,8 +109,10 @@ class DenseOperator:
             mat = mat.astype(object)
         elif mat.dtype != object:
             raise ValueError(f"matrix dtype must be integer or object, not {mat.dtype}")
-        self.mat = mat
         self.scale = Fraction(scale)
+        if self.scale == 0:  # stored as zeros over scale 1, so _aligned never divides by 0
+            mat, self.scale = np.zeros(mat.shape, dtype=object), Fraction(1)
+        self.mat = mat
         self.n = n
         self.base = base
         if mat.shape != (base**n, base**n):
@@ -136,11 +138,7 @@ class DenseOperator:
         return self + (other * -1)
 
     def __mul__(self, c) -> "DenseOperator":
-        c = Fraction(c)
-        if c == 0:
-            return DenseOperator(np.zeros((self.dim, self.dim), dtype=object),
-                                 Fraction(1), self.n, self.base)
-        return DenseOperator(self.mat, self.scale * c, self.n, self.base)
+        return DenseOperator(self.mat, self.scale * Fraction(c), self.n, self.base)
 
     __rmul__ = __mul__
 
@@ -327,6 +325,25 @@ def _jucys_murphy_idempotent(t: Tableau) -> tuple[_Element, int]:
     return elem, denom
 
 
+def _tableau_operator(t: Tableau, p: int, q: int) -> DenseOperator:
+    """E_t on ((C^p)(x)(C^q))^(x n) with every C^q traced out, represented on
+    (C^p)^(x n) over the idempotent's own denominator; at q = 1, the tableau
+    projector itself.  Every tableau operator is built here.
+
+    On (C^p (x) C^q)^(x n), P(pi) = P_p(pi) (x) P_q(pi) and tr P_q(pi) =
+    q^c(pi), with c(pi) the number of cycles, so tracing every C^q from
+    E_t = sum_pi c_pi pi leaves sum_pi c_pi q^c(pi) P_p(pi), taken in Z[S_n]
+    with no (pq)^n-sided matrix.  The dense `partial_trace_inner` is its oracle.
+    """
+    check_standard_tableau(t)
+    n = sum(tableau_shape(t))
+    p = _check_cap(p, n)  # before any group-algebra work
+    elem, denom = _jucys_murphy_idempotent(t)
+    if q > 1:
+        elem = {pi: c * q ** len(cycle_type(pi)) for pi, c in elem.items()}
+    return _represent(elem.items(), p, n, denom)
+
+
 def young_projector(t: Tableau, d: int) -> DenseOperator:
     """Orthogonal projector onto a single unitary irrep selected by the tableau.
 
@@ -339,11 +356,7 @@ def young_projector(t: Tableau, d: int) -> DenseOperator:
     symmetric projector with trace e^d_shape (the zero operator when the
     shape has more than d rows).
     """
-    check_standard_tableau(t)
-    n = sum(tableau_shape(t))
-    d = _check_cap(d, n)  # before any group-algebra work
-    elem, denom = _jucys_murphy_idempotent(t)
-    return _represent(elem.items(), d, n, denom)
+    return _tableau_operator(t, d, 1)
 
 
 # --- traces and averages ---------------------------------------------------
@@ -363,7 +376,7 @@ def partial_trace_subsystems(m: DenseOperator, keep: int) -> DenseOperator:
 def partial_trace_inner(m: DenseOperator, p: int, q: int) -> DenseOperator:
     """Trace out the C^q half of every factor, landing on (C^p)^(x n).
 
-    The independent dense oracle of `_trace_inner_element`, which traces in
+    The independent dense oracle of `_tableau_operator`, which traces in
     the group algebra before any representation.  Each factor index is
     i*q + j with i its C^p digit, so the matrix is viewed with the axes
     (i_1, j_1, ..., i_n, j_n) on each side.  After k diagonals j_(k+1) sits
@@ -450,31 +463,6 @@ def werner_combination(w: WernerWeights) -> DenseOperator:
                        for mu, a in w.weights.items() if a}, d, n)
 
 
-def _trace_inner_element(elem: _Element, q: int) -> _Element:
-    """Trace C^q out of every factor of a Z[S_n] element, before any representation.
-
-    On (C^p (x) C^q)^(x n), P(pi) = P_p(pi) (x) P_q(pi) and tr P_q(pi) =
-    q^c(pi), with c(pi) the number of cycles, so tracing every C^q from
-    sum_pi c_pi P(pi) leaves the representation of sum_pi c_pi q^c(pi) pi
-    on (C^p)^(x n).  The dense `partial_trace_inner` is its oracle.
-    """
-    return {pi: c * q ** len(cycle_type(pi)) for pi, c in elem.items()}
-
-
-def _traced_tableau_state(t: Tableau, p: int, q: int) -> DenseOperator:
-    """The single-irrep state of t on ((C^p)(x)(C^q))^(x n) with every C^q
-    traced out: E_t / e^{pq}_shape, traced in Z[S_n] and represented only on
-    (C^p)^(x n), so no (pq)^n-sided matrix is built.
-    """
-    check_standard_tableau(t)
-    shape = tableau_shape(t)
-    n = sum(shape)
-    e = dim_unitary(shape, p * q)
-    p = _check_cap(p, n)  # before any group-algebra work
-    elem, denom = _jucys_murphy_idempotent(t)
-    return _represent(_trace_inner_element(elem, q).items(), p, n, denom * e)
-
-
 def _psd_above(m: DenseOperator, c: Fraction) -> bool:
     """Whether m - c I is positive semidefinite, exactly, for an operator m
     that commutes with U(d)^(x n).
@@ -522,10 +510,11 @@ def verify_general_dual(t: Tableau, p: int, q: int) -> dict:
     shape = tableau_shape(t)
     n = sum(shape)
     bound = definetti_bound_dual(n, q)  # refuses q < n before any group-algebra work
-    traced = _traced_tableau_state(t, p, q)
+    e = dim_unitary(shape, p * q)
+    traced = _tableau_operator(t, p, q) * Fraction(1, e)
     mixed = Fraction(1, p**n)  # the eigenvalue of the fully mixed state
     delta = float(np.abs(_eigenvalues(traced) - float(mixed)).sum())
-    beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, dim_unitary(shape, p * q))
+    beta = Fraction(dim_sym(shape) * comb(q, n) * p**n, e)
     psd = _psd_above(traced, beta * mixed)
     return {
         "shape": list(shape),

@@ -489,10 +489,11 @@ def check_inner_trace_oracle(*, seed: int) -> Cases:
             ok = oracle.schur_weyl_weights(red) == expect
             ok = ok and oracle.werner_combination(dual_trace(lam, p, q)).same_as(red)
             t = first_standard_tableau(lam)
-            single = oracle.young_projector(t, p * q) * Fraction(1, dim_unitary(lam, p * q))
+            e = dim_unitary(lam, p * q)
+            single = oracle.young_projector(t, p * q) * Fraction(1, e)
             red2 = oracle.partial_trace_inner(single, p, q)
             ok = ok and oracle.schur_weyl_weights(red2) == expect
-            ok = ok and red2.same_as(oracle._traced_tableau_state(t, p, q))
+            ok = ok and red2.same_as(oracle._tableau_operator(t, p, q) * Fraction(1, e))
             yield (lam, p, q), ok
 
 

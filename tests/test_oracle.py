@@ -34,6 +34,7 @@ from schurweyl.partitions import (
     first_standard_tableau,
     partitions_of,
     standard_tableaux,
+    tableau_shape,
 )
 from schurweyl.werner import fully_mixed
 
@@ -326,7 +327,8 @@ def test_remainder_certificate_fails_above_beta():
     states where beta itself passes."""
     for t, p, q in ((((1,), (2,), (3,)), 2, 5), (((1, 2, 3),), 3, 5)):
         rep = verify_general_dual(t, p, q)
-        traced = oracle._traced_tableau_state(t, p, q)
+        e = dim_unitary(tableau_shape(t), p * q)
+        traced = oracle._tableau_operator(t, p, q) * Fraction(1, e)
         shift = Fraction(rep["beta"]) / p**3
         assert rep["remainder_psd"] and oracle._psd_above(traced, shift)
         assert not oracle._psd_above(traced, shift * Fraction(101, 100))
@@ -430,6 +432,18 @@ def test_operator_arithmetic_sanity():
     assert (swap - swap).is_zero()
     with pytest.raises(ValueError):
         ident + identity_operator(3, 2)
+
+
+def test_a_zero_scale_is_the_zero_operator():
+    # a zero scale is stored as a zero matrix over scale 1, so aligning
+    # another operator to it never divides by zero
+    zero = DenseOperator(_obj([[1, 0], [0, 1]]), Fraction(0), 1, 2)
+    ident = identity_operator(1, 2)
+    assert zero.is_zero() and zero.scale == 1
+    assert (ident + zero).same_as(ident) and (ident - zero).same_as(ident)
+    assert (zero + ident).same_as(ident)
+    assert not ident.same_as(zero) and not zero.same_as(ident)
+    assert (ident * 0).same_as(zero) and zero.same_as(ident * 0)
 
 
 def test_operators_keep_their_entries_exact():

@@ -15,6 +15,7 @@ from schurweyl.coefficients import (
     branching_sum_lr,
     dim_skew,
     littlewood_richardson,
+    littlewood_richardson_char,
 )
 from schurweyl.oracle import (
     DenseOperator,
@@ -245,6 +246,9 @@ ENTRY_POINTS = {
     "littlewood_richardson lam": lambda p: littlewood_richardson(p, (1,), (2,)),
     "littlewood_richardson mu": lambda p: littlewood_richardson((3, 2), p, (2,)),
     "littlewood_richardson nu": lambda p: littlewood_richardson((3, 2), (2,), p),
+    "littlewood_richardson_char lam": lambda p: littlewood_richardson_char(p, (1,), (2,)),
+    "littlewood_richardson_char mu": lambda p: littlewood_richardson_char((3, 2), p, (2,)),
+    "littlewood_richardson_char nu": lambda p: littlewood_richardson_char((3, 2), (2,), p),
     "branching_sum_lr lam": lambda p: branching_sum_lr(p, (1,), 2),
     "branching_sum_lr mu": lambda p: branching_sum_lr((3, 2), p, 2),
     "dim_skew outer": lambda p: dim_skew(p, (1,)),

@@ -66,3 +66,18 @@ def test_factorial_determinants_are_built_only_in_symfunc():
              or isinstance(node.func, ast.Attribute) and node.func.attr == "_det")
     ]
     assert found == []
+
+
+def test_tableau_operators_are_built_by_one_function():
+    # oracle._tableau_operator is the one builder of tableau operators, so
+    # the Jucys-Murphy idempotent is multiplied out from one call site
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "_jucys_murphy_idempotent"
+             or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_jucys_murphy_idempotent")
+    ]
+    assert len(found) == 1, found

@@ -54,30 +54,26 @@ def test_sizes_are_read_only_by_partitions_size():
     assert found == []
 
 
+def _calls(name):
+    """path:line of every call of `name` or `x.name` in the sources."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == name
+             or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+    ]
+
+
 def test_factorial_determinants_are_built_only_in_symfunc():
     # symfunc._skew_dets is the one builder of factorial determinants, so no
     # other module eliminates a matrix of its own
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES if path.name != "symfunc.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and (isinstance(node.func, ast.Name) and node.func.id == "_det"
-             or isinstance(node.func, ast.Attribute) and node.func.attr == "_det")
-    ]
-    assert found == []
+    assert [c for c in _calls("_det") if not c.startswith("symfunc.py:")] == []
 
 
 def test_tableau_operators_are_built_by_one_function():
     # oracle._tableau_operator is the one builder of tableau operators, so
     # the Jucys-Murphy idempotent is multiplied out from one call site
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and (isinstance(node.func, ast.Name) and node.func.id == "_jucys_murphy_idempotent"
-             or isinstance(node.func, ast.Attribute)
-             and node.func.attr == "_jucys_murphy_idempotent")
-    ]
+    found = _calls("_jucys_murphy_idempotent")
     assert len(found) == 1, found
